@@ -46,9 +46,9 @@ def test_live_early_stop_speedup(benchmark, bench_config):
 
     policy = EarlyStopPolicy(grace_samples=GRACE_SAMPLES)
     live = benchmark.pedantic(
-        evaluation.evaluate_all_live,
+        evaluation.evaluate_all,
         args=(scenarios,),
-        kwargs={"policy": policy},
+        kwargs={"early_stop": policy},
         rounds=1,
         iterations=1,
     )

@@ -86,7 +86,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro import api
-from repro.common.config import ExperimentConfig, ParallelConfig
+from repro.common.config import EarlyStopPolicy, ExperimentConfig, ParallelConfig
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.evaluation import Evaluation
 from repro.experiments.parallel import ResultCache
@@ -751,34 +751,27 @@ def _dispatch(arguments: argparse.Namespace) -> int:
         )
 
     on_run = make_run_printer(arguments.progress)
-    if arguments.live:
-        if not quiet:
-            print("evaluating scenarios (live monitoring, early stop)...")
-        results = evaluation.evaluate_all_live(
-            scenarios,
-            streaming=arguments.analyze,
-            chunk_size=arguments.chunk_size,
-            on_run=on_run,
-        )
-        pipeline = evaluation.last_pipeline
-        arl_rows = pipeline.arl_table(results)
-        classification_rows = pipeline.classification_table(results)
-    elif arguments.analyze:
-        if not quiet:
-            print("evaluating scenarios (streaming sharded analysis)...")
-        summaries = evaluation.evaluate_all_streaming(
-            scenarios, chunk_size=arguments.chunk_size, on_run=on_run
-        )
-        pipeline = evaluation.last_pipeline
-        arl_rows = pipeline.arl_table(summaries)
-        classification_rows = pipeline.classification_table(summaries)
-    else:
-        if not quiet:
-            print("evaluating scenarios...")
-        evaluation.evaluate_all(scenarios, on_run=on_run)
-        pipeline = evaluation.last_pipeline
-        arl_rows = evaluation.arl_table()
-        classification_rows = evaluation.classification_table()
+    mode = (
+        " (live monitoring, early stop)" if arguments.live
+        else " (streaming sharded analysis)" if arguments.analyze
+        else ""
+    )
+    if not quiet:
+        print(f"evaluating scenarios{mode}...")
+    # --chunk-size already sits in config.parallel, which the streaming
+    # path reads; the eager path runs the whole sweep as one chunk.
+    evaluate = (
+        evaluation.evaluate_all_streaming if arguments.analyze
+        else evaluation.evaluate_all
+    )
+    results = evaluate(
+        scenarios,
+        early_stop=EarlyStopPolicy() if arguments.live else None,
+        on_run=on_run,
+    )
+    pipeline = evaluation.last_pipeline
+    arl_rows = pipeline.arl_table(results)
+    classification_rows = pipeline.classification_table(results)
     simulation = pipeline.simulation_stats
     analysis = pipeline.analysis_stats
     if not quiet:

@@ -271,6 +271,31 @@ class Session:
         ``on_run`` is called with every analyzed run as it completes
         (progress reporting).
         """
+        return self._run_seeds(streaming, on_run, early_stop=None)
+
+    def run_live(
+        self, streaming: Optional[bool] = None, on_run=None
+    ) -> CampaignResult:
+        """Execute the campaign with live monitoring and early stopping.
+
+        Requires the spec's ``[live]`` section to be enabled.  Anomalous
+        runs are scored sample-by-sample while they simulate and — unless
+        ``live.early_stop`` is off — terminated a grace window after a
+        confirmed detection (the ``early_stop`` option of
+        :meth:`~repro.experiments.evaluation.Evaluation.evaluate_all`).
+        Detection verdicts match :meth:`run` exactly; anomalous runs just
+        stop simulating once the verdict is in, so the campaign finishes
+        measurably faster.
+        """
+        if not self.spec.live.enabled:
+            raise ConfigurationError(
+                "the spec's [live] section is not enabled; set "
+                "live.enabled = true (or use Session.run for batch execution)"
+            )
+        return self._run_seeds(streaming, on_run, early_stop=self.spec.live.policy())
+
+    def _run_seeds(self, streaming, on_run, early_stop) -> CampaignResult:
+        """The per-seed loop behind :meth:`run` and :meth:`run_live`."""
         streaming = (
             self.spec.analysis.streaming if streaming is None else bool(streaming)
         )
@@ -289,11 +314,12 @@ class Session:
                         results = evaluation.evaluate_all_streaming(
                             scenarios,
                             chunk_size=self.spec.analysis.chunk_size,
+                            early_stop=early_stop,
                             on_run=on_run,
                         )
                     else:
                         results = evaluation.evaluate_all(
-                            scenarios, on_run=on_run
+                            scenarios, early_stop=early_stop, on_run=on_run
                         )
                 result.per_seed[seed] = results
             _LOG.info(
@@ -303,42 +329,6 @@ class Session:
                     "n_scenarios": len(scenarios),
                     "streaming": streaming,
                 },
-            )
-        return result
-
-    def run_live(
-        self, streaming: Optional[bool] = None, on_run=None
-    ) -> CampaignResult:
-        """Execute the campaign with live monitoring and early stopping.
-
-        Requires the spec's ``[live]`` section to be enabled.  Anomalous
-        runs are scored sample-by-sample while they simulate and — unless
-        ``live.early_stop`` is off — terminated a grace window after a
-        confirmed detection (see
-        :meth:`~repro.experiments.evaluation.Evaluation.evaluate_all_live`).
-        Detection verdicts match :meth:`run` exactly; anomalous runs just
-        stop simulating once the verdict is in, so the campaign finishes
-        measurably faster.
-        """
-        live = self.spec.live
-        if not live.enabled:
-            raise ConfigurationError(
-                "the spec's [live] section is not enabled; set "
-                "live.enabled = true (or use Session.run for batch execution)"
-            )
-        streaming = (
-            self.spec.analysis.streaming if streaming is None else bool(streaming)
-        )
-        scenarios = self.spec.expanded_scenarios()
-        result = CampaignResult(spec=self.spec)
-        for seed in self.spec.seeds():
-            evaluation = self._calibrated(seed, keep_results=not streaming)
-            result.per_seed[seed] = evaluation.evaluate_all_live(
-                scenarios,
-                policy=live.policy(),
-                streaming=streaming,
-                chunk_size=self.spec.analysis.chunk_size,
-                on_run=on_run,
             )
         return result
 

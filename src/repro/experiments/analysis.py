@@ -1,26 +1,26 @@
-"""Streaming, sharded analysis of campaign results.
+"""The campaign driver: simulation, sharded scoring and streaming reduction.
 
-PR 1 parallelised the *simulation* stage of the paper's evaluation; this
-module does the same for the *analysis* stage (MSPC scoring, oMEDA diagnosis,
-ARL aggregation) while bounding memory:
+The paper's evaluation is calibration runs, then repeated runs of each
+scenario, reduced to ARL and classification tables.  This module holds the
+one loop behind every way of running the scenario part of it:
 
-* campaign results are consumed as an **iterator** — chunked loads from the
-  NPZ :class:`~repro.experiments.parallel.ResultCache` instead of
-  whole-campaign lists; on the streaming path cached runs are handed to the
-  scoring workers *as paths*, so the NPZ decompression itself is sharded and
-  the parent process never materializes the run arrays;
-* per-run MSPC scoring + oMEDA diagnosis fan out over a worker pool
-  (:class:`AnalysisEngine`), with workers returning compact
-  :class:`~repro.anomaly.diagnosis.DiagnosisSummary` records instead of full
-  per-observation charts;
+* :meth:`AnalysisPipeline.iter_campaign` flattens every scenario's run
+  specs into one sweep, streams results out of
+  :meth:`~repro.experiments.parallel.CampaignEngine.iter_run`, and scores
+  them chunk by chunk on :class:`AnalysisEngine`, a worker pool running MSPC
+  scoring and oMEDA diagnosis;
+* *retention* is its only mode switch.  With it, every run keeps its
+  :class:`~repro.process.simulator.SimulationResult` and full diagnosis.
+  Without it, cached runs reach the scoring workers as NPZ paths (so the
+  decompression is sharded too), workers return compact
+  :class:`~repro.anomaly.diagnosis.DiagnosisSummary` records, and peak
+  memory is O(chunk) rather than O(campaign);
 * aggregation happens in **incremental reducers** (:class:`ScenarioReducer`:
   detection counts, ARL, classification tallies, mean-oMEDA) so a finished
   run can be dropped immediately.
 
-Peak memory of a streaming campaign is therefore O(chunk), not O(campaign),
-and the produced :class:`ScenarioSummary` tables are bitwise-identical to the
-eager :class:`~repro.experiments.evaluation.Evaluation` path (which itself
-sits on these reducers).
+Live early stopping is an option of the same loop, not a separate driver,
+and the tables of every mode are bitwise-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import (
     Dict,
@@ -53,12 +54,11 @@ from repro.anomaly.diagnosis import (
 )
 from repro.common.config import EarlyStopPolicy, ExperimentConfig, ParallelConfig
 from repro.common.exceptions import ConfigurationError
-from repro.datasets.io import peek_result_npz
 from repro.experiments.parallel import CampaignEngine, CampaignStats, scenario_specs
 from repro.experiments.scenarios import Scenario, paper_scenarios
 from repro.mspc.arl import RunLengthAccumulator, run_length
 from repro.mspc.model import OmedaResult
-from repro.obs.logs import get_logger, log_context
+from repro.obs.logs import get_logger
 from repro.obs.trace import span as obs_span
 from repro.process.simulator import SimulationResult
 
@@ -93,10 +93,9 @@ ResultSource = Union[SimulationResult, str, Path]
 class AnalyzedRun:
     """The analysis outcome of one run of one scenario.
 
-    ``result`` is retained only when the pipeline is asked to keep full
-    simulation results (the eager compatibility path); the streaming path
-    leaves it ``None`` so the run's arrays can be freed as soon as the
-    reducers have consumed this record.
+    ``result`` is set only when the pipeline retains runs; without
+    retention it is ``None``, so the run's arrays can be freed as soon as
+    the reducers have consumed this record.
     """
 
     scenario_name: str
@@ -561,7 +560,7 @@ class ScenarioSummary:
 # The pipeline
 # ----------------------------------------------------------------------
 class AnalysisPipeline:
-    """Streams a campaign through simulation, sharded scoring and reducers.
+    """Drives a campaign through simulation, sharded scoring and reducers.
 
     Parameters
     ----------
@@ -574,22 +573,24 @@ class AnalysisPipeline:
         Optional pre-built simulation engine (shared with
         :class:`~repro.experiments.evaluation.Evaluation` so cache state and
         stats are visible to the caller).
-    summarize:
-        When ``True`` (the streaming default) workers return compact
-        :class:`DiagnosisSummary` records; ``False`` retains the full
-        :class:`DualLevelDiagnosis` per run.
-    keep_results:
+    chunk_size:
+        Runs per simulation and scoring chunk.  ``None`` picks one chunk
+        for the whole sweep with retention, and the configuration's
+        simulation and analysis chunk sizes without it.
+    retain:
         When ``True`` each :class:`AnalyzedRun` carries its
-        :class:`SimulationResult`; peak memory then grows with the campaign
-        again, so this is only meant for the eager compatibility path.
+        :class:`SimulationResult` and full :class:`DualLevelDiagnosis`;
+        cached runs are loaded in this process.  When ``False`` cached
+        runs reach the scoring workers as paths, workers return compact
+        :class:`DiagnosisSummary` records, and peak memory is O(chunk).
     early_stop:
         Optional :class:`~repro.common.config.EarlyStopPolicy`: anomalous
         scenarios' runs are then live-monitored while they simulate and
-        truncated once a detection is confirmed (the engine needs the
-        fitted analyzer installed via
-        :meth:`CampaignEngine.set_live_analyzer`; the pipeline installs its
-        own analyzer automatically).  Detection verdicts are unaffected —
-        the truncation point is strictly after the confirming sample.
+        truncated once a detection is confirmed (the pipeline installs its
+        analyzer on the engine via
+        :meth:`CampaignEngine.set_live_analyzer`).  Detection verdicts are
+        unaffected — the truncation point is strictly after the confirming
+        sample.
     """
 
     def __init__(
@@ -598,22 +599,21 @@ class AnalysisPipeline:
         config: ExperimentConfig,
         engine: Optional[CampaignEngine] = None,
         chunk_size: Optional[int] = None,
-        summarize: bool = True,
-        keep_results: bool = False,
+        retain: bool = False,
         early_stop: Optional[EarlyStopPolicy] = None,
     ):
+        if chunk_size is not None and chunk_size < 1:
+            raise ConfigurationError("chunk_size must be >= 1")
         self.config = config
         self.analyzer = analyzer
         self.engine = engine or CampaignEngine(config.parallel)
         self.analysis_engine = AnalysisEngine(analyzer, config.parallel)
         self.chunk_size = chunk_size
-        self.summarize = summarize
-        self.keep_results = keep_results
+        self.retain = retain
         self.early_stop = early_stop
         if early_stop is not None:
             self.engine.set_live_analyzer(analyzer)
-        # Accumulated over every scenario streamed through this pipeline
-        # (each engine/analysis ``last_stats`` only covers one scenario).
+        # Accumulated over every campaign driven through this pipeline.
         self.simulation_stats = CampaignStats()
         self.analysis_stats = AnalysisStats()
 
@@ -625,181 +625,76 @@ class AnalysisPipeline:
 
         return live_scenario_specs(self.config, scenario, self.early_stop, n_runs)
 
+    def _chunk_sizes(self, n_specs: int) -> Tuple[int, int]:
+        """Runs per simulation chunk and per scoring chunk."""
+        if self.chunk_size is not None:
+            return int(self.chunk_size), int(self.chunk_size)
+        if self.retain:
+            # Retention makes O(chunk) memory moot: one chunk, one pool
+            # whose fan-out spans every scenario of the sweep.
+            return n_specs, n_specs
+        parallel = self.config.parallel
+        return parallel.resolved_simulation_chunk_size, parallel.resolved_chunk_size
+
     # ------------------------------------------------------------------
-    def iter_scenario(
-        self, scenario: Scenario, n_runs: Optional[int] = None
-    ) -> Iterator[AnalyzedRun]:
-        """Simulate, score and yield one scenario's runs, one at a time.
-
-        Results stream chunk by chunk; each chunk's MSPC scoring + oMEDA
-        diagnosis fans out over the analysis pool; every yielded record is
-        final, so the caller can fold it into reducers and drop it.
-
-        On the streaming path (``keep_results=False``) runs already present
-        in the NPZ result cache are handed to the workers *as paths*: the
-        worker loads, scores and summarizes the run, and the parent process
-        never materializes its arrays at all.  The eager path
-        (``keep_results=True``) loads results in the parent, since the
-        caller wants them retained anyway.
-
-        The raw iterators leave the cache eviction policy to the caller
-        (streaming must not evict entries whose paths workers hold);
-        :meth:`analyze_scenario` / :meth:`analyze_all` prune once their
-        campaign is done, and the eager path prunes via the engine.
-        """
-        if self.keep_results:
-            specs = self._specs(scenario, n_runs)
-            yield from self._iter_eager([(scenario, specs)])
-        else:
-            yield from self._iter_streaming(scenario, n_runs)
-
     def iter_campaign(
         self,
         scenarios: Sequence[Scenario],
         n_runs: Optional[int] = None,
     ) -> Iterator[AnalyzedRun]:
-        """Stream several scenarios' runs, in scenario order.
+        """Simulate, score and yield every run of a sweep, in scenario order.
 
-        On the eager path the whole sweep is submitted to the engine as one
-        batch (one pool, fan-out spanning every scenario — the pre-streaming
-        behaviour); per-run seeds make the outcome identical either way.
-        The streaming path goes scenario by scenario, chunk by chunk.
+        Every scenario's specs are flattened into one sweep, so simulation
+        batches span scenario boundaries; per-run seeds make the outcome
+        bitwise-identical whatever the chunking, worker count or backend.
+        Results stream out of :meth:`CampaignEngine.iter_run` — loaded
+        cache hits with retention, validated cache paths without — and are
+        scored chunk by chunk on the analysis pool.  Every yielded record
+        is final, so the caller can fold it into reducers and drop it.
+
+        A scoring chunk that fails while it holds cache paths (an entry
+        pruned by another campaign, or arrays corrupt past the peeked JSON
+        members) is re-run with cache-miss semantics, with a warning.  The
+        configured cache eviction policy runs once, after the last run:
+        pruning earlier could delete entries whose paths are in flight.
         """
-        if self.keep_results:
-            groups = [
-                (scenario, self._specs(scenario, n_runs))
-                for scenario in scenarios
-            ]
-            yield from self._iter_eager(groups)
-        else:
-            for scenario in scenarios:
-                yield from self._iter_streaming(scenario, n_runs)
-
-    def _iter_eager(
-        self, groups: Sequence[Tuple[Scenario, List]]
-    ) -> Iterator[AnalyzedRun]:
-        """Parent-side loads, full retention: the eager compatibility path.
-
-        Retention makes O(chunk) memory moot here, so unless an explicit
-        ``chunk_size`` was configured, the whole batch runs as one chunk —
-        a single pool whose fan-out spans every scenario of the sweep.
-        """
-        flat_specs: List = []
-        scenario_of: List[Scenario] = []
-        for scenario, specs in groups:
-            flat_specs.extend(specs)
-            scenario_of.extend([scenario] * len(specs))
+        plan: List[Tuple[Scenario, int]] = []
+        specs: List = []
+        for scenario in scenarios:
+            scenario_runs = self._specs(scenario, n_runs)
+            plan.extend((scenario, index) for index in range(len(scenario_runs)))
+            specs.extend(scenario_runs)
+        if not specs:
+            return
         starts = [
             self.config.anomaly_start_hour if scenario.is_anomalous else None
-            for scenario in scenario_of
+            for scenario, _ in plan
         ]
-        chunk = self.chunk_size or max(1, len(flat_specs))
-        # By the time verdict ``i`` is yielded, the chunk containing result
-        # ``i`` has necessarily passed through and been recorded.
-        retained: Dict[int, SimulationResult] = {}
-        stream = self.engine.iter_run(flat_specs, chunk)
-
-        def passthrough() -> Iterator[SimulationResult]:
-            for index, item in enumerate(stream):
-                retained[index] = item
-                yield item
-
-        scored = self.analysis_engine.map(
-            passthrough(),
-            anomaly_start_hour=starts,
-            summarize=self.summarize,
-            chunk_size=chunk,
+        simulation_chunk, scoring_chunk = self._chunk_sizes(len(specs))
+        stream = self.engine.iter_run(
+            specs, simulation_chunk, prune=False, load_hits=self.retain
         )
+
+        def score(sources: List[ResultSource], window: slice) -> List[ScoredRun]:
+            return list(
+                self.analysis_engine.map(
+                    sources,
+                    anomaly_start_hour=starts[window],
+                    summarize=not self.retain,
+                    chunk_size=len(sources),
+                )
+            )
+
+        resimulated = 0
         try:
-            run_index = 0
-            current: Optional[Scenario] = None
-            for flat_index, verdict in enumerate(scored):
-                scenario = scenario_of[flat_index]
-                if scenario is not current:
-                    current, run_index = scenario, 0
-                yield self._record(scenario, run_index, verdict, retained[flat_index])
-                run_index += 1
-        finally:
-            # Close the inner generators first so their stats are final
-            # (and the engine's deferred prune has run) before absorbing —
-            # early termination by the consumer then still books the work
-            # actually done.
-            scored.close()
-            stream.close()
-            self.simulation_stats.absorb(self.engine.last_stats)
-            self.analysis_stats.absorb(self.analysis_engine.last_stats)
-
-    def _iter_streaming(
-        self, scenario: Scenario, n_runs: Optional[int]
-    ) -> Iterator[AnalyzedRun]:
-        """Worker-side cache loads, O(chunk) memory: the streaming path.
-
-        Misses go through :meth:`CampaignEngine.run` per chunk, which spins
-        its pool up per call — acceptable because a mostly-cold cache means
-        simulation dominates anyway; fully cached replays (the streaming
-        path's main use) never pay it.
-        """
-        specs = self._specs(scenario, n_runs)
-        anomaly_start = (
-            self.config.anomaly_start_hour if scenario.is_anomalous else None
-        )
-        size = (
-            int(self.chunk_size)
-            if self.chunk_size is not None
-            else self.config.parallel.resolved_chunk_size
-        )
-        if size < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
-        stats = CampaignStats(backend="serial", n_workers=1)
-        run_index = 0
-        try:
-            for offset in range(0, len(specs), size):
-                chunk_specs = specs[offset : offset + size]
-                chunk_started = time.perf_counter()
-                stats.n_runs += len(chunk_specs)
-                sources: List[Optional[ResultSource]] = [None] * len(chunk_specs)
-                missing: List[int] = []
-                for index, spec in enumerate(chunk_specs):
-                    path = self._valid_cache_path(spec)
-                    if path is not None:
-                        sources[index] = path
-                    else:
-                        missing.append(index)
-                stats.n_cache_hits += len(chunk_specs) - len(missing)
-                if missing:
-                    # Eviction is deferred to the end of the campaign
-                    # (prune=False): the policy must not delete entries whose
-                    # paths were just handed to the scoring workers.
-                    simulated = self.engine.run(
-                        [chunk_specs[i] for i in missing], prune=False
-                    )
-                    for index, result in zip(missing, simulated):
-                        sources[index] = result
-                    # Book what the engine actually did: a concurrent
-                    # campaign may have filled the cache between our peek
-                    # and the run, turning a miss into a hit.
-                    engine_stats = self.engine.last_stats
-                    stats.n_simulated += engine_stats.n_simulated
-                    stats.n_cache_hits += engine_stats.n_cache_hits
-                    stats.n_workers = max(stats.n_workers, engine_stats.n_workers)
-                    if engine_stats.backend in ("process", "batch"):
-                        stats.backend = engine_stats.backend
-                stats.wall_seconds += time.perf_counter() - chunk_started
+            for offset in range(0, len(specs), scoring_chunk):
+                sources = list(islice(stream, scoring_chunk))
+                window = slice(offset, offset + len(sources))
                 try:
-                    verdicts = list(
-                        self.analysis_engine.map(
-                            sources,
-                            anomaly_start_hour=anomaly_start,
-                            summarize=self.summarize,
-                            chunk_size=len(sources),
-                        )
-                    )
+                    verdicts = score(sources, window)
                 except Exception as error:
-                    # Recovery only makes sense when the chunk depended on
-                    # cache paths that may have gone bad under us (another
-                    # campaign's prune/clear on a shared cache, or arrays
-                    # corrupt past the peeked JSON members); anything else is
-                    # a genuine scoring failure and propagates.
+                    # Only cache paths can have gone bad under us; any other
+                    # failure is a genuine scoring error and propagates.
                     if not any(
                         isinstance(source, (str, Path)) for source in sources
                     ):
@@ -813,54 +708,37 @@ class AnalysisPipeline:
                     _LOG.warning(
                         "chunk scoring failed; retrying with cache-miss "
                         "semantics",
-                        extra={"chunk": offset // size, "error": repr(error)},
+                        extra={
+                            "chunk": offset // scoring_chunk,
+                            "error": repr(error),
+                        },
                     )
                     # Rebuild the pool (a dead worker poisons it), reload
                     # sound entries / re-simulate broken ones, and rescore
                     # from memory.
                     self.analysis_engine.close()
-                    recovered = self.engine.run(chunk_specs, prune=False)
-                    # Entries that had to be re-simulated were optimistically
-                    # counted as hits when their paths passed the peek.
-                    resimulated = self.engine.last_stats.n_simulated
-                    stats.n_simulated += resimulated
-                    stats.n_cache_hits = max(0, stats.n_cache_hits - resimulated)
-                    verdicts = list(
-                        self.analysis_engine.map(
-                            recovered,
-                            anomaly_start_hour=anomaly_start,
-                            summarize=self.summarize,
-                            chunk_size=len(recovered),
-                        )
-                    )
-                for verdict in verdicts:
-                    yield self._record(scenario, run_index, verdict, None)
-                    run_index += 1
+                    sources = self.engine.run(specs[window], prune=False)
+                    resimulated += self.engine.last_stats.n_simulated
+                    verdicts = score(sources, window)
                 self.analysis_stats.absorb(self.analysis_engine.last_stats)
+                for (scenario, run_index), verdict, source in zip(
+                    plan[window], verdicts, sources
+                ):
+                    yield self._record(
+                        scenario, run_index, verdict, source if self.retain else None
+                    )
         finally:
-            # Eviction is a campaign-level concern: analyze_scenario /
-            # analyze_all prune once scoring is done.  Pruning here would
-            # evict entries later scenarios of the same sweep still need.
+            # Close the stream first so its stats are final; early
+            # termination by the consumer then still books the work done.
+            stream.close()
+            stats = self.engine.last_stats
+            # Re-simulated entries were counted as hits when they passed
+            # the cache check.
+            stats.n_simulated += resimulated
+            stats.n_cache_hits = max(0, stats.n_cache_hits - resimulated)
             self.simulation_stats.absorb(stats)
-
-    def _valid_cache_path(self, spec) -> Optional[Path]:
-        """The spec's cache entry path, if present and structurally sound.
-
-        Validation uses :func:`~repro.datasets.io.peek_result_npz`, which
-        reads only the small JSON members — a corrupt or truncated entry is
-        treated as a miss and re-simulated, matching
-        :meth:`ResultCache.load` semantics without loading the arrays.
-        """
-        if self.engine.cache is None:
-            return None
-        path = self.engine.cache.path_for(spec)
-        if not path.is_file():
-            return None
-        try:
-            peek_result_npz(path)
-        except Exception:
-            return None
-        return path
+            self.analysis_engine.close()
+            self.engine.prune_cache()
 
     def _record(
         self,
@@ -886,61 +764,32 @@ class AnalysisPipeline:
             result=result,
         )
 
-    def analyze_scenario(
-        self,
-        scenario: Scenario,
-        n_runs: Optional[int] = None,
-        prune: bool = True,
-        on_run=None,
-    ) -> ScenarioSummary:
-        """Stream one scenario through the reducers and summarize it.
-
-        ``prune=False`` defers the cache eviction policy to the caller —
-        :meth:`analyze_all` prunes once per sweep, after the last scenario,
-        so a tight cap cannot evict entries a later scenario still needs.
-        ``on_run`` is called with every :class:`AnalyzedRun` as it streams
-        through (progress reporting).
-        """
-        reducer = ScenarioReducer(scenario)
-        with obs_span(
-            "analysis.scenario", scenario=scenario.name
-        ) as scenario_span, log_context(scenario=scenario.name):
-            for run in self.iter_scenario(scenario, n_runs):
-                reducer.update(run)
-                if on_run is not None:
-                    on_run(run)
-            if prune:
-                self.engine.prune_cache()
-            summary = reducer.summary()
-            scenario_span.annotate(
-                n_runs=summary.n_runs, n_detected=summary.n_detected
-            )
-        _LOG.info(
-            "scenario analyzed",
-            extra={
-                "scenario": scenario.name,
-                "n_runs": summary.n_runs,
-                "n_detected": summary.n_detected,
-            },
-        )
-        return summary
-
     def analyze_all(
         self,
         scenarios: Optional[Sequence[Scenario]] = None,
         on_run=None,
     ) -> Dict[str, ScenarioSummary]:
-        """Stream every scenario (defaults to the paper's four)."""
+        """Fold every scenario's runs into reducers (defaults to the paper's four).
+
+        ``on_run`` is called with every :class:`AnalyzedRun` as it streams
+        through (progress reporting).
+        """
         scenarios = list(scenarios or paper_scenarios())
-        summaries: Dict[str, ScenarioSummary] = {}
-        try:
-            for scenario in scenarios:
-                summaries[scenario.name] = self.analyze_scenario(
-                    scenario, prune=False, on_run=on_run
-                )
-        finally:
-            self.analysis_engine.close()
-            self.engine.prune_cache()
+        reducers = {scenario.name: ScenarioReducer(scenario) for scenario in scenarios}
+        for run in self.iter_campaign(scenarios):
+            reducers[run.scenario_name].update(run)
+            if on_run is not None:
+                on_run(run)
+        summaries = {name: reducer.summary() for name, reducer in reducers.items()}
+        for name, summary in summaries.items():
+            _LOG.info(
+                "scenario analyzed",
+                extra={
+                    "scenario": name,
+                    "n_runs": summary.n_runs,
+                    "n_detected": summary.n_detected,
+                },
+            )
         return summaries
 
     # ------------------------------------------------------------------

@@ -5,15 +5,13 @@ to fit the dual-level MSPC models, repeated runs of every anomalous scenario,
 Average Run Length computation and per-view oMEDA diagnosis — i.e. everything
 needed to regenerate Figures 4 and 5 and the ARL discussion of the paper.
 
-Since PR 2 the evaluation sits on top of the streaming analysis stage
-(:mod:`repro.experiments.analysis`): simulation results stream out of the
-engine chunk by chunk, MSPC scoring + oMEDA diagnosis fan out over the worker
-pool, and all aggregates come from the incremental
-:class:`~repro.experiments.analysis.ScenarioReducer`.  The eager API below is
-a thin retention wrapper over that pipeline — it keeps full results and
-diagnoses alive for inspection and produces bitwise-identical tables; use
-:meth:`Evaluation.evaluate_all_streaming` when the campaign is too large to
-hold in memory.
+Every scenario evaluation is one pass of the campaign driver
+:meth:`~repro.experiments.analysis.AnalysisPipeline.iter_campaign`.
+:meth:`Evaluation.evaluate_all` and :meth:`Evaluation.evaluate_scenario`
+run it with retention, keeping every result and diagnosis alive for
+inspection; :meth:`Evaluation.evaluate_all_streaming` runs it without, for
+campaigns too large to hold in memory.  Both take an optional live
+early-stop policy, and their tables are bitwise-identical.
 """
 
 from __future__ import annotations
@@ -188,106 +186,86 @@ class Evaluation:
         )
         return self.calibration
 
-    def _require_calibrated(self) -> None:
+    # ------------------------------------------------------------------
+    def _pipeline(self, retain: bool, **options) -> AnalysisPipeline:
+        """A driver sharing this evaluation's engine and analyzer."""
         if not self.is_calibrated:
             raise NotFittedError("call calibrate() before evaluating scenarios")
-
-    # ------------------------------------------------------------------
-    def _pipeline(self, **overrides) -> AnalysisPipeline:
-        """An analysis pipeline sharing this evaluation's engine and analyzer."""
-        options = dict(engine=self.engine, summarize=False, keep_results=True)
-        options.update(overrides)
-        pipeline = AnalysisPipeline(self.analyzer, self.config, **options)
+        pipeline = AnalysisPipeline(
+            self.analyzer, self.config, engine=self.engine, retain=retain, **options
+        )
         self.last_pipeline = pipeline
         return pipeline
 
-    def _evaluate_with(
+    def _evaluate(
         self,
-        pipeline: AnalysisPipeline,
-        scenario: Scenario,
+        scenarios: Sequence[Scenario],
         n_runs: Optional[int] = None,
-    ) -> ScenarioEvaluation:
-        """Stream one scenario through a pipeline, retaining everything."""
-        results: List[SimulationResult] = []
-        diagnoses: List[DualLevelDiagnosis] = []
-        run_lengths: List[Optional[float]] = []
-        for run in pipeline.iter_scenario(scenario, n_runs):
-            results.append(run.result)
-            diagnoses.append(run.diagnosis)
-            run_lengths.append(run.run_length)
-        evaluation = ScenarioEvaluation(
-            scenario=scenario,
-            results=results,
-            diagnoses=diagnoses,
-            run_lengths=run_lengths,
-        )
-        self._scenario_results[scenario.name] = evaluation
-        return evaluation
+        early_stop: Optional[EarlyStopPolicy] = None,
+        on_run=None,
+    ) -> Dict[str, ScenarioEvaluation]:
+        """Drive the scenarios with retention into eager per-scenario records."""
+        pipeline = self._pipeline(retain=True, early_stop=early_stop)
+        runs: Dict[str, List[AnalyzedRun]] = {scenario.name: [] for scenario in scenarios}
+        for run in pipeline.iter_campaign(scenarios, n_runs):
+            runs[run.scenario_name].append(run)
+            if on_run is not None:
+                on_run(run)
+        evaluated = {
+            scenario.name: ScenarioEvaluation(
+                scenario=scenario,
+                results=[run.result for run in runs[scenario.name]],
+                diagnoses=[run.diagnosis for run in runs[scenario.name]],
+                run_lengths=[run.run_length for run in runs[scenario.name]],
+            )
+            for scenario in scenarios
+        }
+        self._scenario_results.update(evaluated)
+        return evaluated
 
     def evaluate_scenario(
         self, scenario: Scenario, n_runs: Optional[int] = None
     ) -> ScenarioEvaluation:
         """Run one scenario ``n_runs`` times and aggregate its results."""
-        self._require_calibrated()
-        pipeline = self._pipeline()
-        try:
-            return self._evaluate_with(pipeline, scenario, n_runs)
-        finally:
-            pipeline.analysis_engine.close()
-
-    def _evaluate_all_with(
-        self,
-        pipeline: AnalysisPipeline,
-        scenarios: Sequence[Scenario],
-        on_run=None,
-    ) -> Dict[str, ScenarioEvaluation]:
-        """Drain a campaign pipeline into eager per-scenario records."""
-        by_name = {scenario.name: scenario for scenario in scenarios}
-        collected: Dict[str, Tuple[list, list, list]] = {
-            scenario.name: ([], [], []) for scenario in scenarios
-        }
-        try:
-            for run in pipeline.iter_campaign(scenarios):
-                results, diagnoses, run_lengths = collected[run.scenario_name]
-                results.append(run.result)
-                diagnoses.append(run.diagnosis)
-                run_lengths.append(run.run_length)
-                if on_run is not None:
-                    on_run(run)
-        finally:
-            pipeline.analysis_engine.close()
-        for name, (results, diagnoses, run_lengths) in collected.items():
-            self._scenario_results[name] = ScenarioEvaluation(
-                scenario=by_name[name],
-                results=results,
-                diagnoses=diagnoses,
-                run_lengths=run_lengths,
-            )
-        return dict(self._scenario_results)
+        return self._evaluate([scenario], n_runs)[scenario.name]
 
     def evaluate_all(
         self,
         scenarios: Optional[Sequence[Scenario]] = None,
+        early_stop: Optional[EarlyStopPolicy] = None,
         on_run=None,
     ) -> Dict[str, ScenarioEvaluation]:
         """Evaluate every scenario (defaults to the paper's four).
 
-        The runs of *all* scenarios are submitted to the engine as one batch
-        (via :meth:`AnalysisPipeline.iter_campaign`), so the simulation
-        fan-out spans the whole sweep rather than one scenario at a time;
-        per-run seeds make the outcome bitwise-identical whatever the
-        batching, chunking, worker count or backend.  ``on_run`` is called
-        with every :class:`~repro.experiments.analysis.AnalyzedRun` as it
-        completes (progress reporting).
+        The runs of *all* scenarios are submitted to the engine as one
+        sweep, so the simulation fan-out spans every scenario; per-run
+        seeds make the outcome bitwise-identical whatever the batching,
+        chunking, worker count or backend.  Returns every scenario
+        evaluated so far.  ``on_run`` is called with every
+        :class:`~repro.experiments.analysis.AnalyzedRun` as it completes
+        (progress reporting).
+
+        ``early_stop`` scores anomalous runs sample by sample *while they
+        simulate* (see :mod:`repro.live`) and terminates them
+        ``early_stop.grace_samples`` samples after a confirmed detection.
+        Detection verdicts (detected / detection time / run length) are
+        identical to the full-horizon campaign, because the truncation
+        point is strictly after the confirming sample; truncated results
+        are cached under dedicated keys
+        (:meth:`~repro.experiments.parallel.RunSpec.cache_token`) and never
+        mix with full-horizon entries.  Normal scenarios always run their
+        whole horizon.
         """
-        self._require_calibrated()
-        scenarios = list(scenarios or paper_scenarios())
-        return self._evaluate_all_with(self._pipeline(), scenarios, on_run)
+        self._evaluate(
+            list(scenarios or paper_scenarios()), early_stop=early_stop, on_run=on_run
+        )
+        return dict(self._scenario_results)
 
     def evaluate_all_streaming(
         self,
         scenarios: Optional[Sequence[Scenario]] = None,
         chunk_size: Optional[int] = None,
+        early_stop: Optional[EarlyStopPolicy] = None,
         on_run=None,
     ) -> Dict[str, ScenarioSummary]:
         """Evaluate every scenario without retaining per-run data.
@@ -298,49 +276,13 @@ class Evaluation:
         rather than O(campaign).  The returned
         :class:`~repro.experiments.analysis.ScenarioSummary` objects expose
         the same table API as :class:`ScenarioEvaluation` and are
-        bitwise-identical to the eager path's tables.
+        bitwise-identical to the eager path's tables.  ``early_stop`` works
+        as in :meth:`evaluate_all`.
         """
-        self._require_calibrated()
         pipeline = self._pipeline(
-            summarize=True, keep_results=False, chunk_size=chunk_size
+            retain=False, chunk_size=chunk_size, early_stop=early_stop
         )
         return pipeline.analyze_all(scenarios, on_run=on_run)
-
-    def evaluate_all_live(
-        self,
-        scenarios: Optional[Sequence[Scenario]] = None,
-        policy: Optional[EarlyStopPolicy] = EarlyStopPolicy(),
-        streaming: bool = False,
-        chunk_size: Optional[int] = None,
-        on_run=None,
-    ):
-        """Evaluate every scenario with live monitoring and early stopping.
-
-        Anomalous scenarios' runs are scored sample-by-sample *while they
-        simulate* (see :mod:`repro.live`) and terminated
-        ``policy.grace_samples`` samples after a confirmed detection, so
-        the campaign spends no wall-clock simulating what the monitor has
-        already decided.  Detection verdicts (detected / detection time /
-        run length) are identical to the full-horizon campaign, because the
-        truncation point is strictly after the confirming sample;
-        truncated results are cached under dedicated keys
-        (:meth:`~repro.experiments.parallel.RunSpec.cache_token`) and never
-        mix with full-horizon entries.  Normal scenarios always run their
-        whole horizon, and ``policy=None`` disables early stopping entirely
-        (the campaign is then identical to :meth:`evaluate_all`).
-        """
-        self._require_calibrated()
-        scenarios = list(scenarios or paper_scenarios())
-        if streaming:
-            pipeline = self._pipeline(
-                summarize=True,
-                keep_results=False,
-                chunk_size=chunk_size,
-                early_stop=policy,
-            )
-            return pipeline.analyze_all(scenarios, on_run=on_run)
-        pipeline = self._pipeline(early_stop=policy, chunk_size=chunk_size)
-        return self._evaluate_all_with(pipeline, scenarios, on_run)
 
     @property
     def scenario_results(self) -> Dict[str, ScenarioEvaluation]:

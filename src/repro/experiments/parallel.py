@@ -297,6 +297,24 @@ class ResultCache:
         except Exception:
             return None
 
+    def peek(self, spec: RunSpec) -> Optional[Path]:
+        """The spec's entry path if present and structurally sound, else ``None``.
+
+        Reads only the small JSON members
+        (:func:`~repro.datasets.io.peek_result_npz`): a corrupt or truncated
+        entry is a miss, as in :meth:`load`, without loading the arrays.
+        """
+        from repro.datasets.io import peek_result_npz
+
+        path = self.path_for(spec)
+        if not path.is_file():
+            return None
+        try:
+            peek_result_npz(path)
+        except Exception:
+            return None
+        return path
+
     def store(self, spec: RunSpec, result: SimulationResult) -> Path:
         """Persist the result of a spec and return its cache path."""
         from repro.datasets.io import save_result_npz
@@ -489,9 +507,7 @@ class CampaignEngine:
 
         One batch, one pool: equivalent to draining :meth:`iter_run` with a
         single campaign-sized chunk.  ``prune=False`` defers the configured
-        cache eviction policy to the caller — used by the streaming
-        pipeline, which hands cache paths to analysis workers and must not
-        evict entries mid-campaign.
+        cache eviction policy to the caller.
         """
         specs = list(specs)
         return list(
@@ -503,17 +519,25 @@ class CampaignEngine:
         specs: Sequence[RunSpec],
         chunk_size: Optional[int] = None,
         prune: bool = True,
-    ) -> Iterator[SimulationResult]:
+        load_hits: bool = True,
+    ) -> Iterator[Union[SimulationResult, Path]]:
         """Execute specs in chunks, yielding results in spec order.
 
         The streaming counterpart of :meth:`run`: at most ``chunk_size``
-        results (default :attr:`ParallelConfig.resolved_chunk_size`) are
-        alive at once, so peak memory is O(chunk) instead of O(campaign).
-        Cached entries are loaded lazily, chunk by chunk; pending runs of a
+        results (default
+        :attr:`ParallelConfig.resolved_simulation_chunk_size`) are alive at
+        once, so peak memory is O(chunk) instead of O(campaign).  Cached
+        entries are resolved lazily, chunk by chunk; pending runs of a
         chunk fan out over a worker pool that persists across chunks, and
         results are cached as they complete, so an interrupted campaign
         resumes from the runs that already finished.  Results are
         bitwise-identical to :meth:`run` for the same specs.
+
+        ``load_hits=False`` yields a cache hit as the path of its entry,
+        checked with :meth:`ResultCache.peek` instead of loaded, so a
+        consumer that scores in other processes never holds its arrays.
+        Such a consumer should pass ``prune=False`` too and prune once the
+        paths are used: eviction must not delete entries still in flight.
 
         :attr:`last_stats` covers the chunks actually consumed and is
         finalized when the generator is exhausted or closed.
@@ -538,15 +562,18 @@ class CampaignEngine:
                 with obs_span(
                     "engine.chunk", chunk=chunk_index, n_runs=len(chunk)
                 ) as chunk_span:
-                    results: List[Optional[SimulationResult]] = [None] * len(chunk)
+                    results: List[Union[SimulationResult, Path, None]]
+                    results = [None] * len(chunk)
                     pending: List[int] = []
                     with obs_span("engine.cache_load", chunk=chunk_index):
                         for index, spec in enumerate(chunk):
-                            cached = (
-                                self.cache.load(spec)
-                                if self.cache is not None
-                                else None
-                            )
+                            cached = None
+                            if self.cache is not None:
+                                cached = (
+                                    self.cache.load(spec)
+                                    if load_hits
+                                    else self.cache.peek(spec)
+                                )
                             if cached is not None:
                                 results[index] = cached
                             else:

@@ -9,6 +9,8 @@ holding more than one chunk of results in the parent process.
 from __future__ import annotations
 
 import tracemalloc
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -27,10 +29,17 @@ from repro.experiments.analysis import (
     ScenarioReducer,
     ScenarioSummary,
     ScoredRun,
+    build_arl_table,
+    build_classification_table,
 )
+from repro.datasets.io import peek_result_npz
 from repro.experiments.evaluation import Evaluation
 from repro.experiments.parallel import ResultCache, scenario_specs
-from repro.experiments.scenarios import disturbance_idv6_scenario, normal_scenario
+from repro.experiments.scenarios import (
+    disturbance_idv6_scenario,
+    integrity_attack_on_xmv3_scenario,
+    normal_scenario,
+)
 from repro.mspc.model import OmedaResult
 
 
@@ -302,6 +311,76 @@ class TestStreamingEquivalence:
         summaries = streaming.evaluate_all_streaming()
         assert streaming.last_pipeline.simulation_stats.n_simulated == 1
         assert_tables_identical(eager_reference, self._tables(streaming, summaries))
+
+    def test_corrupt_cached_arrays_recover_with_cache_miss_semantics(
+        self, eager_reference, tmp_path
+    ):
+        """An entry whose JSON members peek fine but whose arrays are broken
+        passes the cache check, fails in scoring, and is re-simulated."""
+        config = tiny_config(n_workers=1, backend="serial", cache_dir=str(tmp_path))
+        warm = Evaluation(config)
+        warm.calibrate()
+        warm.evaluate_all()
+
+        spec = scenario_specs(config, disturbance_idv6_scenario())[0]
+        path = ResultCache(tmp_path).path_for(spec)
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        members["controller_values.npy"] = b"not an array"
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        peek_result_npz(path)  # the cheap check still passes
+
+        streaming = Evaluation(config)
+        streaming.calibrate()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summaries = streaming.evaluate_all_streaming()
+        recovered = [
+            warning for warning in caught
+            if issubclass(warning.category, RuntimeWarning)
+        ]
+        assert len(recovered) == 1
+        assert "cache-miss semantics" in str(recovered[0].message)
+        assert streaming.last_pipeline.simulation_stats.n_simulated == 1
+        assert_tables_identical(eager_reference, self._tables(streaming, summaries))
+
+    def test_streaming_batches_like_eager(self, monkeypatch):
+        """A cold streaming campaign steps the batch kernel in the same rows
+        per call as the eager path, and gives the same tables."""
+        from repro.batch.simulator import BatchSimulator
+
+        rows = []
+        original = BatchSimulator.run_specs
+
+        def spy(self, specs):
+            specs = list(specs)
+            rows.append(len(specs))
+            return original(self, specs)
+
+        monkeypatch.setattr(BatchSimulator, "run_specs", spy)
+        scenarios = [
+            normal_scenario(),
+            disturbance_idv6_scenario(),
+            integrity_attack_on_xmv3_scenario(),
+        ]
+
+        def campaign(streaming):
+            del rows[:]
+            evaluation = Evaluation(tiny_config(n_workers=1, backend="batch"))
+            evaluation.calibrate(keep_results=not streaming)
+            if streaming:
+                results = evaluation.evaluate_all_streaming(scenarios)
+            else:
+                results = evaluation.evaluate_all(scenarios)
+            tables = (build_arl_table(results), build_classification_table(results))
+            return list(rows), tables
+
+        eager_rows, eager_tables = campaign(streaming=False)
+        streaming_rows, streaming_tables = campaign(streaming=True)
+        assert streaming_rows == eager_rows
+        assert streaming_tables == eager_tables
 
     def test_eviction_policy_deferred_past_worker_loads(
         self, eager_reference, tmp_path

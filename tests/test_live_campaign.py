@@ -2,9 +2,9 @@
 
 Covers the campaign-side half of :mod:`repro.live`: early-stop
 :class:`RunSpec` fields and cache-key separation, the engine's live-analyzer
-installation (serial and process pools), ``Evaluation.evaluate_all_live``
-verdict identity with the batch path, the ``[live]`` spec section and
-``Session.run_live``.
+installation (serial and process pools), verdict identity of
+``Evaluation.evaluate_all(..., early_stop=)`` with the batch path, the
+``[live]`` spec section and ``Session.run_live``.
 """
 
 import numpy as np
@@ -188,14 +188,14 @@ class TestEngineExecution:
 
 
 # ----------------------------------------------------------------------
-# Evaluation.evaluate_all_live — verdict identity with the batch path
+# Evaluation.evaluate_all(early_stop=) — verdict identity with the batch path
 # ----------------------------------------------------------------------
 class TestEvaluateAllLive:
     @pytest.fixture(scope="class")
     def verdicts(self, calibrated):
         scenarios = scenario_pair()
         batch = calibrated.evaluate_all(scenarios)
-        live = calibrated.evaluate_all_live(scenarios, policy=POLICY)
+        live = calibrated.evaluate_all(scenarios, early_stop=POLICY)
         return scenarios, batch, live
 
     def test_detection_verdicts_identical(self, verdicts):
@@ -224,8 +224,8 @@ class TestEvaluateAllLive:
 
     def test_streaming_live_matches_eager_live(self, calibrated, verdicts):
         scenarios, _, live = verdicts
-        streamed = calibrated.evaluate_all_live(
-            scenarios, policy=POLICY, streaming=True
+        streamed = calibrated.evaluate_all_streaming(
+            scenarios, early_stop=POLICY
         )
         for scenario in scenarios:
             assert (
@@ -238,17 +238,17 @@ class TestEvaluateAllLive:
             )
 
     def test_policy_none_disables_early_stopping(self, calibrated):
-        results = calibrated.evaluate_all_live(
-            [integrity_attack_on_xmv3_scenario()], policy=None
+        results = calibrated.evaluate_all(
+            [integrity_attack_on_xmv3_scenario()], early_stop=None
         )
         runs = results["attack_xmv3"].results
         assert all(not run.stopped_early for run in runs)
 
     def test_on_run_callback_sees_every_run(self, calibrated):
         seen = []
-        calibrated.evaluate_all_live(
+        calibrated.evaluate_all(
             [integrity_attack_on_xmv3_scenario()],
-            policy=POLICY,
+            early_stop=POLICY,
             on_run=lambda run: seen.append((run.scenario_name, run.run_index)),
         )
         assert seen == [("attack_xmv3", 0), ("attack_xmv3", 1)]
@@ -322,6 +322,19 @@ class TestSessionRunLive:
         batch_runs = batch.scenario_results["attack_xmv3"].results
         assert all(run.stopped_early for run in live_runs)
         assert all(not run.stopped_early for run in batch_runs)
+
+    def test_traced_run_live_emits_seed_spans(self):
+        from repro.obs.trace import Tracer, get_tracer, set_tracer
+
+        previous = get_tracer()
+        tracer = set_tracer(Tracer(enabled=True))
+        try:
+            api.Session(tiny_live_spec()).run_live()
+        finally:
+            set_tracer(previous)
+        names = [record["name"] for record in tracer.records()]
+        assert names.count("session.run") == 1
+        assert names.count("session.seed") == 1
 
     def test_module_level_run_live_facade(self):
         result = api.run_live(tiny_live_spec())
