@@ -41,7 +41,6 @@ which the test suite pins property-style.
 
 from __future__ import annotations
 
-import difflib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -56,15 +55,13 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.api._toml import dumps_toml
+from repro.common.codec import OMIT_EMPTY, SpecSection, check_keys, coerce_int
 from repro.common.config import (
     ExperimentConfig,
     GatewayConfig,
     LiveConfig,
     ObsConfig,
     ServiceConfig,
-    _as_bool,
-    _as_int,
-    _as_sequence,
 )
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.registry import REGISTRY, ScenarioRegistry
@@ -89,25 +86,8 @@ _TABLES = ("arl", "classification")
 _FORMATS = ("toml", "json")
 
 
-def _check_keys(mapping: Mapping[str, Any], allowed: Tuple[str, ...], label: str):
-    if not isinstance(mapping, Mapping):
-        raise ConfigurationError(f"{label} must be a table/mapping, got {mapping!r}")
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        hints = []
-        for key in unknown:
-            close = difflib.get_close_matches(key, allowed, n=1)
-            if close:
-                hints.append(f"{key!r} -> did you mean {close[0]!r}?")
-        hint = f" ({'; '.join(hints)})" if hints else ""
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in {label} "
-            f"(allowed: {sorted(allowed)}){hint}"
-        )
-
-
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(SpecSection, section="sweep"):
     """Grids expanding a campaign into a sweep.
 
     Attributes
@@ -123,16 +103,10 @@ class SweepSpec:
         magnitude expansion".
     """
 
-    seeds: Tuple[int, ...] = ()
-    magnitudes: Tuple[float, ...] = ()
+    seeds: Tuple[int, ...] = field(default=(), metadata=OMIT_EMPTY)
+    magnitudes: Tuple[float, ...] = field(default=(), metadata=OMIT_EMPTY)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "seeds", tuple(_as_int(seed) for seed in self.seeds)
-        )
-        object.__setattr__(
-            self, "magnitudes", tuple(float(m) for m in self.magnitudes)
-        )
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("sweep seeds must be unique")
         if len(set(self.magnitudes)) != len(self.magnitudes):
@@ -140,11 +114,6 @@ class SweepSpec:
         for magnitude in self.magnitudes:
             if magnitude <= 0:
                 raise ConfigurationError("sweep magnitudes must be positive")
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether this sweep expands nothing."""
-        return not self.seeds and not self.magnitudes
 
     def seeds_for(self, base_seed: int) -> Tuple[int, ...]:
         """The root seeds the campaign runs at."""
@@ -169,27 +138,9 @@ class SweepSpec:
                 expanded.extend(variants)
         return tuple(expanded)
 
-    def to_mapping(self) -> Dict[str, Any]:
-        mapping: Dict[str, Any] = {}
-        if self.seeds:
-            mapping["seeds"] = list(self.seeds)
-        if self.magnitudes:
-            mapping["magnitudes"] = list(self.magnitudes)
-        return mapping
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "SweepSpec":
-        _check_keys(mapping, ("seeds", "magnitudes"), "sweep")
-        return cls(
-            seeds=_as_sequence(mapping.get("seeds", ()), "sweep.seeds"),
-            magnitudes=_as_sequence(
-                mapping.get("magnitudes", ()), "sweep.magnitudes"
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class AnalysisSpec:
+class AnalysisSpec(SpecSection, section="analysis"):
     """How campaign results are consumed.
 
     Attributes
@@ -210,35 +161,26 @@ class AnalysisSpec:
     tables: Tuple[str, ...] = _TABLES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "streaming", _as_bool(self.streaming))
-        object.__setattr__(self, "tables", tuple(self.tables))
-        if self.chunk_size is not None:
-            object.__setattr__(self, "chunk_size", _as_int(self.chunk_size))
-            if self.chunk_size < 1:
-                raise ConfigurationError("chunk_size must be >= 1 or None")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ConfigurationError("chunk_size must be >= 1 or None")
         for table in self.tables:
             if table not in _TABLES:
                 raise ConfigurationError(
                     f"unknown table {table!r} (available: {_TABLES})"
                 )
 
-    def to_mapping(self) -> Dict[str, Any]:
-        mapping: Dict[str, Any] = {
-            "streaming": self.streaming,
-            "tables": list(self.tables),
-        }
-        if self.chunk_size is not None:
-            mapping["chunk_size"] = self.chunk_size
-        return mapping
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "AnalysisSpec":
-        _check_keys(mapping, ("streaming", "chunk_size", "tables"), "analysis")
-        return cls(
-            streaming=_as_bool(mapping.get("streaming", False)),
-            chunk_size=mapping.get("chunk_size"),
-            tables=_as_sequence(mapping.get("tables", _TABLES), "analysis.tables"),
-        )
+#: The sections of a campaign spec, in mapping order.
+_SECTIONS = {
+    "experiment": ExperimentConfig,
+    "sweep": SweepSpec,
+    "analysis": AnalysisSpec,
+    "live": LiveConfig,
+    "service": ServiceConfig,
+    "gateway": GatewayConfig,
+    "response": ResponsePolicy,
+    "obs": ObsConfig,
+}
 
 
 @dataclass(frozen=True)
@@ -261,7 +203,7 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not str(self.name):
             raise ConfigurationError("a campaign spec needs a non-empty name")
-        object.__setattr__(self, "version", _as_int(self.version))
+        object.__setattr__(self, "version", coerce_int(self.version, "version"))
         if self.version != SPEC_VERSION:
             raise ConfigurationError(
                 f"unsupported spec version {self.version} "
@@ -326,7 +268,11 @@ class CampaignSpec:
     # Serialization
     # ------------------------------------------------------------------
     def to_mapping(self) -> Dict[str, Any]:
-        """A plain nested mapping — the canonical serialized form."""
+        """A plain nested mapping — the canonical serialized form.
+
+        ``experiment`` and ``analysis`` are always written; the other
+        sections only when they differ from their defaults.
+        """
         mapping: Dict[str, Any] = {
             "version": self.version,
             "name": self.name,
@@ -337,19 +283,10 @@ class CampaignSpec:
         mapping["scenarios"] = [
             scenario.to_mapping() for scenario in self.scenarios
         ]
-        if not self.sweep.is_empty:
-            mapping["sweep"] = self.sweep.to_mapping()
-        mapping["analysis"] = self.analysis.to_mapping()
-        if not self.live.is_default:
-            mapping["live"] = self.live.to_mapping()
-        if not self.service.is_default:
-            mapping["service"] = self.service.to_mapping()
-        if not self.gateway.is_default:
-            mapping["gateway"] = self.gateway.to_mapping()
-        if not self.response.is_default:
-            mapping["response"] = self.response.to_mapping()
-        if not self.obs.is_default:
-            mapping["obs"] = self.obs.to_mapping()
+        for name in tuple(_SECTIONS)[1:]:  # the sections after experiment
+            section = getattr(self, name)
+            if name == "analysis" or not section.is_default:
+                mapping[name] = section.to_mapping()
         return mapping
 
     @classmethod
@@ -359,11 +296,9 @@ class CampaignSpec:
         registry: Optional[ScenarioRegistry] = None,
     ) -> "CampaignSpec":
         """Build and validate a spec from its mapping form."""
-        _check_keys(
+        check_keys(
             mapping,
-            ("version", "name", "description", "experiment", "scenarios",
-             "sweep", "analysis", "live", "service", "gateway", "response",
-             "obs"),
+            ("version", "name", "description", "scenarios", *_SECTIONS),
             "campaign spec",
         )
         registry = registry or REGISTRY
@@ -376,19 +311,16 @@ class CampaignSpec:
             raise ConfigurationError(
                 "'scenarios' must be a list of scenario tables/references"
             )
+        sections = {
+            name: section_type.from_mapping(mapping.get(name, {}), name)
+            for name, section_type in _SECTIONS.items()
+        }
         return cls(
             name=str(mapping["name"]),
             description=str(mapping.get("description", "")),
             version=mapping.get("version", SPEC_VERSION),
-            experiment=ExperimentConfig.from_mapping(mapping.get("experiment", {})),
             scenarios=tuple(registry.resolve(ref) for ref in raw_scenarios),
-            sweep=SweepSpec.from_mapping(mapping.get("sweep", {})),
-            analysis=AnalysisSpec.from_mapping(mapping.get("analysis", {})),
-            live=LiveConfig.from_mapping(mapping.get("live", {})),
-            service=ServiceConfig.from_mapping(mapping.get("service", {})),
-            gateway=GatewayConfig.from_mapping(mapping.get("gateway", {})),
-            response=ResponsePolicy.from_mapping(mapping.get("response", {})),
-            obs=ObsConfig.from_mapping(mapping.get("obs", {})),
+            **sections,
         )
 
     def to_toml(self) -> str:

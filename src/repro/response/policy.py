@@ -31,18 +31,11 @@ section the policy round-trips through TOML/JSON mappings bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from repro.anomaly.diagnosis import AnomalyClass, DiagnosisSummary
-from repro.common.config import (
-    _as_bool,
-    _as_int,
-    _as_sequence,
-    _build_from_mapping,
-    _mapping_of,
-    _opt,
-)
+from repro.common.codec import OMIT_EMPTY, SpecSection
 from repro.common.exceptions import ConfigurationError
 from repro.live.alarms import AlarmEvent
 
@@ -63,7 +56,7 @@ _CLASSIFICATIONS = tuple(kind.value for kind in AnomalyClass)
 
 
 @dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(SpecSection, section="response rule"):
     """One declarative response rule: match criteria plus an action.
 
     Attributes
@@ -127,9 +120,6 @@ class ActionSpec:
                 f"rule classification must be one of {list(_CLASSIFICATIONS)} "
                 f"or absent, got {self.classification!r}"
             )
-        object.__setattr__(
-            self, "variables", tuple(str(name) for name in self.variables)
-        )
         if self.gain_factor <= 0:
             raise ConfigurationError("gain_factor must be positive")
         if self.limit_factor <= 0:
@@ -182,36 +172,9 @@ class ActionSpec:
                 return False
         return True
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this rule."""
-        return _mapping_of(self, floats=("gain_factor", "limit_factor"))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ActionSpec":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "action": str,
-                "view": _opt(str),
-                "chart": _opt(str),
-                "classification": _opt(str),
-                "variables": lambda value: tuple(
-                    str(name) for name in _as_sequence(value, "rule variables")
-                ),
-                "gain_factor": float,
-                "limit_factor": float,
-                "channel": str,
-                "sensor": _opt(str),
-                "cooldown_samples": _opt(_as_int),
-            },
-            "response rule",
-        )
-
 
 @dataclass(frozen=True)
-class ResponsePolicy:
+class ResponsePolicy(SpecSection, section="response"):
     """The ``[response]`` section of a campaign spec: closed-loop response.
 
     Attributes
@@ -237,14 +200,13 @@ class ResponsePolicy:
     """
 
     enabled: bool = False
-    rules: Tuple[ActionSpec, ...] = ()
+    rules: Tuple[ActionSpec, ...] = field(default=(), metadata=OMIT_EMPTY)
     cooldown_samples: int = 30
     max_actions: int = 3
     hold_samples: int = 12
     match_top_variables: int = 3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
         for rule in self.rules:
             if not isinstance(rule, ActionSpec):
                 raise ConfigurationError(
@@ -258,11 +220,6 @@ class ResponsePolicy:
             raise ConfigurationError("hold_samples must be >= 1")
         if self.match_top_variables < 1:
             raise ConfigurationError("match_top_variables must be >= 1")
-
-    @property
-    def is_default(self) -> bool:
-        """Whether this section matches the defaults (and can be omitted)."""
-        return self == ResponsePolicy()
 
     @property
     def is_armed(self) -> bool:
@@ -286,36 +243,3 @@ class ResponsePolicy:
         if rule.cooldown_samples is not None:
             return int(rule.cooldown_samples)
         return int(self.cooldown_samples)
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON/TOML-ready mapping of this policy."""
-        mapping: Dict[str, Any] = {
-            "enabled": self.enabled,
-            "cooldown_samples": int(self.cooldown_samples),
-            "max_actions": int(self.max_actions),
-            "hold_samples": int(self.hold_samples),
-            "match_top_variables": int(self.match_top_variables),
-        }
-        if self.rules:
-            mapping["rules"] = [rule.to_mapping() for rule in self.rules]
-        return mapping
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "ResponsePolicy":
-        """Build from a mapping, rejecting unknown keys and coercing types."""
-        return _build_from_mapping(
-            cls,
-            mapping,
-            {
-                "enabled": _as_bool,
-                "rules": lambda value: tuple(
-                    ActionSpec.from_mapping(item)
-                    for item in _as_sequence(value, "response.rules")
-                ),
-                "cooldown_samples": _as_int,
-                "max_actions": _as_int,
-                "hold_samples": _as_int,
-                "match_top_variables": _as_int,
-            },
-            "response",
-        )

@@ -16,15 +16,20 @@ from repro import api
 from repro.api._toml import dumps_toml
 from repro.api.spec import SPEC_VERSION, AnalysisSpec, SweepSpec
 from repro.common.config import (
+    EarlyStopPolicy,
     ExperimentConfig,
+    GatewayConfig,
+    LiveConfig,
     MSPCConfig,
     ObsConfig,
     ParallelConfig,
+    ServiceConfig,
     SimulationConfig,
 )
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.parallel import calibration_specs, scenario_specs
 from repro.experiments.scenarios import normal_scenario, paper_scenarios
+from repro.response.policy import ActionSpec, ResponsePolicy
 
 try:
     import tomllib
@@ -126,6 +131,48 @@ class TestConfigMappings:
             ),
             ExperimentConfig(),
             ExperimentConfig.smoke(),
+            EarlyStopPolicy(grace_samples=7, min_samples=40),
+            LiveConfig(enabled=True, early_stop=False, grace_samples=3),
+            ServiceConfig(
+                host="0.0.0.0",
+                port=9100,
+                lease_seconds=90.0,
+                heartbeat_seconds=5.0,
+                poll_seconds=0.25,
+                chunk_size=6,
+            ),
+            GatewayConfig(
+                port=0,
+                ingest_port=0,
+                max_streams=12,
+                flush_interval_seconds=0.2,
+                idle_timeout_seconds=0.0,
+            ),
+            ObsConfig(
+                enabled=True,
+                trace=True,
+                trace_path="t.json",
+                log_level="debug",
+                log_path="log.jsonl",
+            ),
+            SweepSpec(seeds=(3, 1, 2), magnitudes=(0.5, 2.0)),
+            AnalysisSpec(streaming=True, chunk_size=4, tables=("arl",)),
+            ActionSpec(
+                action="fallback_gains",
+                view="process",
+                chart="D+Q",
+                variables=("XMV(3)", "XMEAS(1)"),
+                gain_factor=0.25,
+                cooldown_samples=9,
+            ),
+            ResponsePolicy(
+                enabled=True,
+                rules=(
+                    ActionSpec(action="quarantine_channel", channel="actuators"),
+                    ActionSpec(action="shed_sensor", sensor="XMEAS(9)"),
+                ),
+                max_actions=5,
+            ),
         ],
     )
     def test_round_trip(self, config):
@@ -145,6 +192,21 @@ class TestConfigMappings:
     def test_fractional_int_rejected(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig.from_mapping({"samples_per_hour": 10.5})
+
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [
+            (ParallelConfig, "cache_max_age", True),
+            (SimulationConfig, "duration_hours", "10"),
+            (ServiceConfig, "lease_seconds", "60"),
+            (ActionSpec, "gain_factor", False),
+        ],
+    )
+    def test_float_fields_reject_bools_and_strings(self, config, key, value):
+        # Int fields already refuse both; a float field must not read True
+        # as a 1-second cap or parse a quoted number.
+        with pytest.raises(ConfigurationError, match="expected a number"):
+            config.from_mapping({key: value})
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +306,27 @@ class TestSchemaValidation:
                 '"analysis": {"streaming": "false"}}',
                 format="json",
             )
+
+    @pytest.mark.parametrize(
+        "path, toml",
+        [
+            ("experiment.simulation.seed", "[experiment.simulation]\nseed = 1.5\n"),
+            (
+                "experiment.parallel.cache_enabled",
+                "[experiment.parallel]\ncache_enabled = 1\n",
+            ),
+            ("sweep.seeds[1]", '[sweep]\nseeds = [1, "2"]\n'),
+            (
+                "response.rules[0].gain_factor",
+                '[[response.rules]]\naction = "fallback_gains"\ngain_factor = "x"\n',
+            ),
+        ],
+        ids=["simulation", "parallel", "sweep", "response-rule"],
+    )
+    def test_type_errors_name_the_dotted_path(self, path, toml):
+        with pytest.raises(ConfigurationError) as excinfo:
+            api.loads_spec('name = "x"\n[[scenarios]]\nuse = "idv6"\n' + toml)
+        assert f"invalid {path}:" in str(excinfo.value)
 
     def test_deferred_onset_with_stale_end_hour_fails_at_load(self):
         # end_hour=5 with a deferred onset that resolves to hour 10 would
