@@ -57,9 +57,8 @@ class ScenarioKind(enum.Enum):
     """The nature of the anomaly injected in a scenario.
 
     Kinds are *derived* from the injection composition; the enum is kept
-    for reporting.  Compositions
-    that do not match one of the historical single-injection patterns are
-    :attr:`COMPOSITE`.
+    for reporting.  Compositions that do not match one of the historical
+    single-injection patterns are :attr:`COMPOSITE`.
     """
 
     NORMAL = "normal"
