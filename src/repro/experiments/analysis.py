@@ -52,6 +52,7 @@ from repro.anomaly.diagnosis import (
     DualLevelAnalyzer,
     DualLevelDiagnosis,
 )
+from repro.common.codec import Record, field_codec, override
 from repro.common.config import EarlyStopPolicy, ExperimentConfig, ParallelConfig
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.parallel import CampaignEngine, CampaignStats, scenario_specs
@@ -428,10 +429,33 @@ class ScenarioReducer:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class _MeanVector(Record):
+    """The wire shape of one view's mean oMEDA vector."""
+
+    names: Tuple[str, ...]
+    values: np.ndarray
+
+
+_load_means, _dump_means = field_codec(Dict[str, _MeanVector])
+
+#: ``omeda_means`` holds ``(names, values)`` pairs but travels as
+#: ``{view: {"names": [...], "values": [...]}}``.
+_OMEDA_MEANS = override(
+    lambda value, path: {
+        view: (mean.names, mean.values)
+        for view, mean in _load_means(value, path).items()
+    },
+    lambda means: _dump_means(
+        {view: _MeanVector(*pair) for view, pair in means.items()}
+    ),
+)
+
+
 # eq=False: omeda_means holds numpy arrays, whose elementwise == would make
 # the generated __eq__ raise; compare the table fields explicitly instead.
 @dataclass(eq=False)
-class ScenarioSummary:
+class ScenarioSummary(Record):
     """Aggregates of one scenario — the streaming counterpart of
     :class:`~repro.experiments.evaluation.ScenarioEvaluation`.
 
@@ -439,6 +463,11 @@ class ScenarioSummary:
     ``detection_rate``, ``arl_hours``, ``n_false_alarms``, ``mean_omeda``,
     ``classification_counts``, ``shutdown_times``) while holding only
     per-run scalars and per-view mean vectors, never simulation data.
+
+    Its mapping form round-trips losslessly: ``from_mapping(to_mapping())``
+    rebuilds a summary whose every table-facing accessor agrees with the
+    original.  This is what lets campaign results cross the REST boundary
+    of :mod:`repro.service`.
     """
 
     scenario: Scenario
@@ -447,7 +476,7 @@ class ScenarioSummary:
     false_alarm_count: int = 0
     shutdown_times_hours: List[Optional[float]] = field(default_factory=list)
     omeda_means: Dict[str, Tuple[Tuple[str, ...], np.ndarray]] = field(
-        default_factory=dict
+        default_factory=dict, metadata=_OMEDA_MEANS
     )
 
     def _accumulator(self) -> RunLengthAccumulator:
@@ -495,65 +524,6 @@ class ScenarioSummary:
     def shutdown_times(self) -> List[Optional[float]]:
         """Per-run safety shutdown time (None when the run completed)."""
         return list(self.shutdown_times_hours)
-
-    # ------------------------------------------------------------------
-    def to_mapping(self) -> Dict[str, object]:
-        """A JSON-safe mapping capturing this summary exactly.
-
-        Everything a summary holds is scalars and mean vectors, so the wire
-        form round-trips losslessly: ``from_mapping(to_mapping())`` rebuilds
-        a summary whose every table-facing accessor agrees with the
-        original.  This is what lets campaign results cross the REST
-        boundary of :mod:`repro.service`.
-        """
-        return {
-            "scenario": self.scenario.to_mapping(),
-            "run_lengths": [
-                None if length is None else float(length)
-                for length in self.run_lengths
-            ],
-            "counts": {str(key): int(value) for key, value in self.counts.items()},
-            "false_alarm_count": int(self.false_alarm_count),
-            "shutdown_times_hours": [
-                None if value is None else float(value)
-                for value in self.shutdown_times_hours
-            ],
-            "omeda_means": {
-                view: {
-                    "names": list(names),
-                    "values": [float(v) for v in values],
-                }
-                for view, (names, values) in self.omeda_means.items()
-            },
-        }
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, object]) -> "ScenarioSummary":
-        """Rebuild a summary from its :meth:`to_mapping` form."""
-        omeda_means = {
-            str(view): (
-                tuple(str(name) for name in entry["names"]),
-                np.asarray(entry["values"], dtype=float),
-            )
-            for view, entry in dict(mapping.get("omeda_means", {})).items()
-        }
-        return cls(
-            scenario=Scenario.from_mapping(mapping["scenario"]),
-            run_lengths=[
-                None if length is None else float(length)
-                for length in mapping.get("run_lengths", [])
-            ],
-            counts={
-                str(key): int(value)
-                for key, value in dict(mapping.get("counts", {})).items()
-            },
-            false_alarm_count=int(mapping.get("false_alarm_count", 0)),
-            shutdown_times_hours=[
-                None if value is None else float(value)
-                for value in mapping.get("shutdown_times_hours", [])
-            ],
-            omeda_means=omeda_means,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -24,12 +24,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.anomaly.diagnosis import DualLevelAnalyzer
+from repro.common.codec import Record
 from repro.common.config import GatewayConfig
 from repro.common.exceptions import (
     NotFittedError,
@@ -85,44 +87,18 @@ class _StreamState:
         self.journal_cursor: Dict[str, int] = {}  # per-view journaled count
 
 
-class StreamStatus:
+@dataclass(frozen=True)
+class StreamStatus(Record):
     """A point-in-time summary of one stream (the ``GET /streams/<id>``
     payload)."""
 
-    __slots__ = (
-        "stream_id", "n_samples", "n_pending", "detected", "alarm_active",
-        "n_alarm_events", "last_seen_age_seconds",
-    )
-
-    def __init__(
-        self,
-        stream_id: str,
-        n_samples: int,
-        n_pending: int,
-        detected: bool,
-        alarm_active: bool,
-        n_alarm_events: int,
-        last_seen_age_seconds: float,
-    ):
-        self.stream_id = stream_id
-        self.n_samples = n_samples
-        self.n_pending = n_pending
-        self.detected = detected
-        self.alarm_active = alarm_active
-        self.n_alarm_events = n_alarm_events
-        self.last_seen_age_seconds = last_seen_age_seconds
-
-    def to_mapping(self) -> Dict[str, Any]:
-        """A plain, JSON-safe mapping of this status."""
-        return {
-            "stream_id": self.stream_id,
-            "n_samples": self.n_samples,
-            "n_pending": self.n_pending,
-            "detected": self.detected,
-            "alarm_active": self.alarm_active,
-            "n_alarm_events": self.n_alarm_events,
-            "last_seen_age_seconds": self.last_seen_age_seconds,
-        }
+    stream_id: str
+    n_samples: int
+    n_pending: int
+    detected: bool
+    alarm_active: bool
+    n_alarm_events: int
+    last_seen_age_seconds: float
 
 
 class MonitorPool:

@@ -55,25 +55,25 @@ import re
 import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro._version import __version__
+from repro.common.codec import coerce_float
 from repro.common.exceptions import (
+    ConfigurationError,
     GatewayError,
     SampleRejectedError,
     StreamRejectedError,
     UnknownStreamError,
 )
+from repro.common.jsonhttp import JsonHandler
 from repro.gateway.pool import MonitorPool
 from repro.obs.logs import get_logger
 
 __all__ = ["GatewayServer"]
 
 _LOG = get_logger("gateway")
-
-#: Largest accepted HTTP request body (a batched sample POST).
-_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Largest accepted ingest line; one sample is a few KB of JSON.
 _MAX_LINE_BYTES = 1024 * 1024
@@ -84,47 +84,14 @@ _STREAM_SUB = re.compile(
 )
 
 
-class _OpsHandler(BaseHTTPRequestHandler):
+class _OpsHandler(JsonHandler):
     """Routes operations requests onto the server's pool."""
 
     # Bound by GatewayServer when the handler class is created.
     gateway: "GatewayServer"
 
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter; /metrics carries the load."""
-
-    # ------------------------------------------------------------------
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    def _body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        if length == 0:
-            return {}
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
+    # A batched sample POST.
+    max_body_bytes = 8 * 1024 * 1024
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -229,7 +196,7 @@ class _OpsHandler(BaseHTTPRequestHandler):
             self._error(409, str(error))
         except UnknownStreamError as error:
             self._error(404, str(error))
-        except GatewayError as error:
+        except (GatewayError, ConfigurationError) as error:
             self._error(400, str(error))
         except Exception as error:  # pragma: no cover - defensive
             self._error(500, f"{type(error).__name__}: {error}")
@@ -240,7 +207,8 @@ class _OpsHandler(BaseHTTPRequestHandler):
             stream_id = str(payload.get("stream_id") or "")
             onset = payload.get("anomaly_start_hour")
             pool.open_stream(
-                stream_id, None if onset is None else float(onset)
+                stream_id,
+                None if onset is None else coerce_float(onset, "anomaly_start_hour"),
             )
             self._reply(200, {"stream_id": stream_id, "open": True})
             return

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Any, List, Mapping, Optional
 
 from repro.api.spec import CampaignSpec
+from repro.common.codec import Record
 from repro.common.exceptions import ConfigurationError
 from repro.experiments.parallel import (
     RunSpec,
@@ -82,7 +83,7 @@ def campaign_fingerprint(spec: CampaignSpec) -> str:
 
 
 @dataclass(frozen=True)
-class WorkChunk:
+class WorkChunk(Record):
     """One claimable slice of a campaign's flattened run-spec list.
 
     The wire form carries only indices plus the campaign fingerprint; the
@@ -127,23 +128,13 @@ class WorkChunk:
             )
         return specs[self.start : self.stop]
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """The JSON-safe wire form of this chunk."""
-        return {
-            "chunk_id": self.chunk_id,
-            "start": self.start,
-            "stop": self.stop,
-            "fingerprint": self.fingerprint,
-        }
-
     @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "WorkChunk":
-        """Rebuild a chunk from its wire form."""
-        return cls(
-            chunk_id=str(mapping["chunk_id"]),
-            start=int(mapping["start"]),
-            stop=int(mapping["stop"]),
-            fingerprint=str(mapping["fingerprint"]),
+    def from_claim(cls, descriptor: Mapping[str, Any]) -> "WorkChunk":
+        """The chunk a claim names; the claim also carries the campaign id
+        and the lease, which are not part of the chunk."""
+        names = {entry.name for entry in fields(cls)}
+        return cls.from_mapping(
+            {key: value for key, value in descriptor.items() if key in names}
         )
 
 

@@ -30,25 +30,22 @@ or a trusted LAN only — bind it accordingly (the default
 
 from __future__ import annotations
 
-import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.spec import CampaignSpec
+from repro.common.codec import coerce_int
 from repro.common.exceptions import (
     CampaignIncompleteError,
     ConfigurationError,
     ServiceError,
 )
+from repro.common.jsonhttp import JsonHandler
 from repro.service.coordinator import CampaignCoordinator
 
 __all__ = ["CoordinatorServer"]
-
-#: Largest accepted request body; a campaign spec is a few KB, so anything
-#: beyond this is a client error (or abuse), not a legitimate submission.
-_MAX_BODY_BYTES = 4 * 1024 * 1024
 
 _CAMPAIGN = re.compile(r"^/campaigns/([0-9a-f]+)$")
 _SUBRESOURCE = re.compile(
@@ -60,48 +57,11 @@ _CHUNK_ACTION = re.compile(
 )
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Routes requests onto the server's coordinator."""
 
     # Set by CoordinatorServer when the handler class is bound.
     coordinator: CampaignCoordinator
-
-    protocol_version = "HTTP/1.1"
-
-    # ------------------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter; the coordinator keeps its
-        own per-campaign event log."""
-
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    def _body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise ValueError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
-        if length == 0:
-            return {}
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -210,8 +170,12 @@ class _Handler(BaseHTTPRequestHandler):
                     campaign_id,
                     chunk_id,
                     worker_id,
-                    n_simulated=int(payload.get("n_simulated", 0)),
-                    n_cache_hits=int(payload.get("n_cache_hits", 0)),
+                    n_simulated=coerce_int(
+                        payload.get("n_simulated", 0), "n_simulated"
+                    ),
+                    n_cache_hits=coerce_int(
+                        payload.get("n_cache_hits", 0), "n_cache_hits"
+                    ),
                     spans=spans if isinstance(spans, list) else None,
                 )
                 self._reply(200, response)

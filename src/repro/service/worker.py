@@ -127,7 +127,7 @@ class ChunkWorker:
     ) -> bool:
         """Simulate one claimed chunk and ack it; True when acknowledged."""
         spec = self._spec_of(campaign_id)
-        chunk = WorkChunk.from_mapping(descriptor)
+        chunk = WorkChunk.from_claim(descriptor)
         specs = chunk.specs_of(spec)
         engine = CampaignEngine(spec.experiment.parallel)
 

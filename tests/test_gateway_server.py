@@ -347,6 +347,33 @@ class TestErrorMapping:
         with pytest.raises(GatewayError, match="cannot reach"):
             dead.health()
 
+    @pytest.mark.parametrize("content_length", ["-1", "abc"])
+    def test_bad_content_length_is_a_prompt_400(self, server, content_length):
+        with socket.create_connection(server.address, timeout=3.0) as sock:
+            sock.sendall(
+                f"POST /streams HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n".encode()
+            )
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
+
+    def test_malformed_onset_is_a_400_not_a_500(self, server, client):
+        stream_id = unique_id("badonset")
+        request = urllib.request.Request(
+            f"{server.url}/streams",
+            data=json.dumps(
+                {"stream_id": stream_id, "anomaly_start_hour": "abc"}
+            ).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert excinfo.value.code == 400
+        assert b"anomaly_start_hour" in excinfo.value.read()
+        assert stream_id not in client.streams()
+
     def test_wrong_method_is_rejected(self, client):
         stream_id = unique_id("method")
         client._request("POST", "/streams", {"stream_id": stream_id})

@@ -9,6 +9,9 @@ as ``1.0`` — would pass them all while breaking every peer on an older
 build.  These digests hash ``json.dumps`` *without* ``sort_keys``, so key
 order counts.  They were computed once and must never be regenerated to
 make a change pass: a mismatch means the wire form moved.
+
+:class:`TestStrictLoading` pins the other direction: a peer's malformed
+record fails with a :class:`ConfigurationError` naming the dotted path.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.anomaly.diagnosis import AnomalyClass, DiagnosisSummary
+from repro.common.exceptions import ConfigurationError
 from repro.experiments.analysis import ScenarioSummary
 from repro.experiments.scenarios import integrity_attack_on_xmv3_scenario
 from repro.gateway.journal import AlarmJournal
@@ -247,3 +251,124 @@ def test_journal_alarm_record_is_pinned(tmp_path):
     with AlarmJournal(tmp_path / "alarms.journal", fsync="never") as journal:
         journal.record_alarm("plant-7", "process", event().to_mapping())
     assert (tmp_path / "alarms.journal").read_bytes() == GOLDEN_JOURNAL_ALARM
+
+
+def wire(record):
+    """The record's mapping as a peer receives it."""
+    return json.loads(json.dumps(record.to_mapping()))
+
+
+def with_extra_key(mapping):
+    mapping["detection_idx"] = 3
+    return mapping
+
+
+def without(key):
+    def mutate(mapping):
+        del mapping[key]
+        return mapping
+
+    return mutate
+
+
+def set_path(value, *keys):
+    def mutate(mapping):
+        target = mapping
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return mapping
+
+    return mutate
+
+
+class TestStrictLoading:
+    """A malformed record fails with a ConfigurationError naming the field."""
+
+    @pytest.mark.parametrize(
+        "cls, build, mutate, message",
+        [
+            pytest.param(
+                LiveRunReport,
+                live_report,
+                with_extra_key,
+                r"unknown key\(s\) \['detection_idx'\] in LiveRunReport"
+                r".*did you mean 'detection_index'",
+                id="unknown-key",
+            ),
+            pytest.param(
+                LiveRunReport,
+                live_report,
+                without("n_samples"),
+                r"missing key\(s\) \['n_samples'\] in LiveRunReport",
+                id="missing-key",
+            ),
+            pytest.param(
+                LiveRunReport,
+                live_report,
+                set_path("attack", "snapshot", "classification"),
+                r"invalid snapshot\.classification: 'attack' is not one of",
+                id="bad-enum",
+            ),
+            pytest.param(
+                LiveRunReport,
+                live_report,
+                set_path("yes", "stopped_early"),
+                r"invalid stopped_early: expected a boolean",
+                id="bad-bool",
+            ),
+            pytest.param(
+                ResponseReport,
+                response_report,
+                set_path(1.5, "actions", 0, "index"),
+                r"invalid actions\[0\]\.index: expected an integer, got 1\.5",
+                id="nested-list-int",
+            ),
+            pytest.param(
+                ResponseReport,
+                response_report,
+                set_path("high", "live", "alarm_events", "process", 1, "limit"),
+                r"invalid live\.alarm_events\.process\[1\]\.limit",
+                id="nested-dict-list-float",
+            ),
+            pytest.param(
+                ScenarioSummary,
+                scenario_summary,
+                set_path([0.5, "x"], "omeda_means", "controller", "values"),
+                r"invalid omeda_means\.controller\.values\[1\]",
+                id="override-array-item",
+            ),
+            pytest.param(
+                ScenarioSummary,
+                scenario_summary,
+                set_path({"names": ["a"]}, "omeda_means", "process"),
+                r"missing key\(s\) \['values'\] in omeda_means\.process",
+                id="override-missing-key",
+            ),
+            pytest.param(
+                WorkChunk,
+                work_chunk,
+                set_path("12", "start"),
+                r"invalid start: expected an integer, got '12'",
+                id="int-from-string",
+            ),
+            pytest.param(
+                ResponseSummary,
+                response_summary,
+                set_path(7, "title"),
+                r"invalid title: expected a string, got 7",
+                id="str-from-int",
+            ),
+        ],
+    )
+    def test_malformed_mapping_names_the_path(self, cls, build, mutate, message):
+        with pytest.raises(ConfigurationError, match=message):
+            cls.from_mapping(mutate(wire(build())))
+
+    def test_fields_with_defaults_may_be_absent(self):
+        live = wire(empty_live_report())
+        assert ResponseReport.from_mapping({"live": live}) == ResponseReport(
+            live=empty_live_report()
+        )
+        del live["alarm_events"], live["stop_index"]
+        assert LiveRunReport.from_mapping(live) == empty_live_report()

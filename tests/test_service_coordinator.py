@@ -173,7 +173,7 @@ class TestAcks:
         # worker-a simulates but its lease expires before it can ack
         from repro.service.chunks import WorkChunk
 
-        specs = WorkChunk.from_mapping(chunk).specs_of(spec)
+        specs = WorkChunk.from_claim(chunk).specs_of(spec)
         CampaignEngine(spec.experiment.parallel).run(specs, prune=False)
         clock.advance(chunk["lease_seconds"] + 1)
         # worker-b re-claims and acks instantly: everything is cached
@@ -276,7 +276,7 @@ class TestObservability:
         campaign_id = coordinator.submit(small_spec())
         spec = CampaignSpec.from_mapping(coordinator.spec_mapping(campaign_id))
         chunk = coordinator.claim(campaign_id, "worker-a")
-        specs = WorkChunk.from_mapping(chunk).specs_of(spec)
+        specs = WorkChunk.from_claim(chunk).specs_of(spec)
         CampaignEngine(spec.experiment.parallel).run(specs, prune=False)
         spans = [{"name": "worker.chunk", "start": 1.0, "duration": 2.0,
                   "process": "worker-a", "thread": "main"}]

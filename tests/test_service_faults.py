@@ -70,7 +70,7 @@ def die_mid_chunk(coordinator, campaign_id, worker_id, n_completed):
     its runs into the shared cache, then dies without acking."""
     descriptor = coordinator.claim(campaign_id, worker_id)
     spec = CampaignSpec.from_mapping(coordinator.spec_mapping(campaign_id))
-    specs = WorkChunk.from_mapping(descriptor).specs_of(spec)
+    specs = WorkChunk.from_claim(descriptor).specs_of(spec)
     if n_completed:
         CampaignEngine(spec.experiment.parallel).run(
             specs[:n_completed], prune=False
@@ -139,7 +139,7 @@ class TestDeadWorkers:
         spec = CampaignSpec.from_mapping(coordinator.spec_mapping(campaign_id))
         for descriptor in claimed:
             CampaignEngine(spec.experiment.parallel).run(
-                WorkChunk.from_mapping(descriptor).specs_of(spec), prune=False
+                WorkChunk.from_claim(descriptor).specs_of(spec), prune=False
             )
         clock.advance(max(d["lease_seconds"] for d in claimed) + 1)
         # the second fleet acks everything from cache without simulating
@@ -259,7 +259,7 @@ class TestLeaseExpiryRaces:
         descriptor = coordinator.claim(campaign_id, "slow-worker")
         chunk_id = descriptor["chunk_id"]
         spec = CampaignSpec.from_mapping(coordinator.spec_mapping(campaign_id))
-        specs = WorkChunk.from_mapping(descriptor).specs_of(spec)
+        specs = WorkChunk.from_claim(descriptor).specs_of(spec)
         CampaignEngine(spec.experiment.parallel).run(specs, prune=False)
         clock.advance(descriptor["lease_seconds"] + 1)
         stolen = coordinator.claim(campaign_id, "fast-worker")

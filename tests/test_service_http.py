@@ -1,6 +1,7 @@
 """Tests for the REST control surface and its urllib client."""
 
 import json
+import socket
 import urllib.request
 
 import pytest
@@ -38,6 +39,36 @@ def small_spec(**kwargs) -> CampaignSpec:
     defaults = dict(name="http", scenarios=["idv6"])
     defaults.update(kwargs)
     return CampaignSpec(**defaults).with_experiment(SMALL_EXPERIMENT)
+
+
+def raw_post_status(address, path: str, content_length: str) -> int:
+    """POST with a hand-written Content-Length header; the reply's status.
+
+    Raises ``socket.timeout`` when the server sends nothing within 3 s.
+    """
+    with socket.create_connection(address, timeout=3.0) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+def post_status(url: str, payload) -> int:
+    """The HTTP status of a JSON POST."""
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
 
 
 @pytest.fixture
@@ -124,6 +155,23 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request)
         assert info.value.code == 400
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc"])
+    def test_bad_content_length_is_a_prompt_400(self, service, content_length):
+        _, server, _ = service
+        assert raw_post_status(server.address, "/campaigns", content_length) == 400
+
+    def test_malformed_ack_count_is_a_400_not_a_500(self, service):
+        _, server, client = service
+        campaign_id = client.submit(small_spec())
+        chunk = client.claim(campaign_id, "w")
+        url = (
+            f"{server.url}/campaigns/{campaign_id}/chunks/"
+            f"{chunk['chunk_id']}/ack"
+        )
+        assert post_status(url, {"worker_id": "w", "n_simulated": "abc"}) == 400
+        assert post_status(url, {"worker_id": "w", "n_cache_hits": 1.5}) == 400
+        assert not client.progress(campaign_id)["complete"]
 
     def test_invalid_spec_is_a_400_not_a_500(self, service):
         _, server, _ = service
