@@ -1,6 +1,6 @@
 """One mapping codec for the spec sections and the result records.
 
-Two families of frozen dataclasses cross a boundary as plain mappings:
+Two families of dataclasses cross a boundary as plain mappings:
 
 * the **spec sections** — ``[experiment]`` and its nested ``simulation`` /
   ``mspc`` / ``parallel`` tables, ``[sweep]``, ``[analysis]``, ``[live]``,

@@ -297,9 +297,10 @@ class _IngestHandler(socketserver.StreamRequestHandler):
                     try:
                         pool.open_stream(
                             candidate,
-                            None if onset is None else float(onset),
+                            None if onset is None
+                            else coerce_float(onset, "anomaly_start_hour"),
                         )
-                    except GatewayError as error:
+                    except (GatewayError, ConfigurationError) as error:
                         self._send({"ok": False, "error": str(error)})
                         return
                     stream_id = candidate

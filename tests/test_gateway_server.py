@@ -191,6 +191,18 @@ class TestTCPIngest:
         assert status["n_samples"] + status["n_pending"] == 5
         client.close_stream(good)
 
+    def test_malformed_onset_is_refused_with_a_reply(self, server):
+        with socket.create_connection(server.ingest_address, timeout=10.0) as sock:
+            sock.sendall(
+                json.dumps(
+                    {"op": "open", "stream": unique_id("tcponset"),
+                     "anomaly_start_hour": "abc"}
+                ).encode() + b"\n"
+            )
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["ok"] is False
+        assert "anomaly_start_hour" in reply["error"]
+
     def test_oversized_ingest_line_is_rejected_bounded(self, server):
         host, port = server.ingest_address
         with socket.create_connection((host, port), timeout=10.0) as sock:
