@@ -6,28 +6,31 @@
 sample feeding rides the newline-JSON TCP ingest listener, one connection
 per open stream, discovered automatically from ``GET /health``.
 
-Error mapping mirrors :class:`~repro.service.client.CoordinatorClient`: a
-gateway that cannot be reached raises
+The HTTP half is the shared :class:`~repro.common.jsonhttp.JsonClient`,
+and the error mapping is the gateway's rows of its one table: a gateway
+that cannot be reached raises
 :class:`~repro.common.exceptions.GatewayUnavailableError` with the
 transport failure; a reachable gateway that rejects a request raises
 :class:`~repro.common.exceptions.StreamRejectedError` /
-:class:`~repro.common.exceptions.UnknownStreamError` carrying the server's
-message.  Callers never see raw ``urllib`` or socket exceptions.
+:class:`~repro.common.exceptions.UnknownStreamError` /
+:class:`~repro.common.exceptions.GatewayError` carrying the server's
+message.  Callers never see raw ``urllib`` or socket exceptions.  Each
+query passes the fault seam ``gateway.client.<op>`` first, and each
+ingest connect ``gateway.client.connect``.
 
 Passing a :class:`~repro.common.retry.RetryPolicy` makes the read-only
-control-plane queries (all ``GET``) and the ingest **connect** retry
-transparently on ``GatewayUnavailableError``.  Data-plane ops riding an
-established connection (``sample``/``sync``/``close``) are never blindly
-re-sent: a lost reply on a stateful connection is ambiguous, and recovery
-there means re-opening the stream, not re-sending one frame.
+control-plane queries (all ``GET``, ``metrics_text`` included) and the
+ingest **connect** retry transparently on ``GatewayUnavailableError``.
+Data-plane ops riding an established connection (``sample``/``sync``/
+``close``) are never blindly re-sent: a lost reply on a stateful
+connection is ambiguous, and recovery there means re-opening the stream,
+not re-sending one frame.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import faults
@@ -37,6 +40,7 @@ from repro.common.exceptions import (
     StreamRejectedError,
     UnknownStreamError,
 )
+from repro.common.jsonhttp import JsonClient
 from repro.common.retry import RetryPolicy
 
 __all__ = ["StreamClient"]
@@ -84,21 +88,23 @@ class _StreamConnection:
                 pass
 
 
-class StreamClient:
+class StreamClient(JsonClient):
     """Feeds plant streams into a gateway and queries their verdicts.
 
-    Parameters
-    ----------
-    base_url:
-        The gateway's operations URL, e.g. ``"http://127.0.0.1:8790"``.
-    timeout:
-        Per-request socket timeout in seconds.
-    retry:
-        Optional :class:`~repro.common.retry.RetryPolicy` applied to the
-        idempotent control-plane queries and the ingest connect on
-        transport failure.  ``None`` (the default) preserves fail-fast
-        behaviour.
+    Constructed like :class:`~repro.common.jsonhttp.JsonClient`:
+    ``StreamClient(base_url, timeout=30.0, retry=None)``; the policy also
+    covers the ingest connect.
     """
+
+    error_by_status = {
+        404: UnknownStreamError,
+        409: StreamRejectedError,
+        503: StreamRejectedError,
+    }
+    refused_error = GatewayError
+    unavailable_error = GatewayUnavailableError
+    fault_prefix = "gateway.client"
+    noun = "gateway"
 
     def __init__(
         self,
@@ -106,91 +112,11 @@ class StreamClient:
         timeout: float = 30.0,
         retry: Optional[RetryPolicy] = None,
     ):
-        self.base_url = base_url.rstrip("/")
-        self.timeout = float(timeout)
-        self.retry = retry
+        super().__init__(base_url, timeout, retry)
         self._connections: Dict[str, _StreamConnection] = {}
         self._ingest_address: Optional[Tuple[str, int]] = None
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    def _request(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]] = None,
-        op: str = "request",
-    ) -> Dict[str, Any]:
-        # Every HTTP op on this surface is a read-only GET, so retrying on
-        # transport failure is always safe.
-        if self.retry is None:
-            return self._request_once(method, path, payload, op)
-        return self.retry.call(
-            lambda: self._request_once(method, path, payload, op),
-            retry_on=(GatewayUnavailableError,),
-            description=f"{method} {path}",
-        )
-
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]],
-        op: str,
-    ) -> Dict[str, Any]:
-        try:
-            # Fault seam: chaos plans refuse/delay/duplicate gateway
-            # queries here, upstream of the real transport.
-            directive = faults.fire(f"gateway.client.{op}", path=path)
-            response = self._http(method, path, payload)
-            if directive == "duplicate":
-                response = self._http(method, path, payload)
-            return response
-        except ConnectionError as error:
-            # Includes InjectedFault: injected transport failures take the
-            # same recovery path as real ones.
-            raise GatewayUnavailableError(
-                f"cannot reach gateway at {self.base_url}: {error}"
-            ) from None
-
-    def _http(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            try:
-                detail = json.loads(error.read().decode("utf-8")).get("error")
-            except Exception:
-                detail = None
-            message = detail or (
-                f"gateway returned HTTP {error.code} for {method} {path}"
-            )
-            if error.code == 404:
-                raise UnknownStreamError(message) from None
-            if error.code in (409, 503):
-                raise StreamRejectedError(message) from None
-            raise GatewayError(message) from None
-        except (urllib.error.URLError, socket.timeout, ConnectionError, OSError) as error:
-            reason = getattr(error, "reason", error)
-            raise GatewayUnavailableError(
-                f"cannot reach gateway at {self.base_url}: {reason}"
-            ) from None
-
     def _ingest(self) -> Tuple[str, int]:
         if self._ingest_address is None:
             health = self.health()
@@ -221,16 +147,12 @@ class StreamClient:
         stream_id = str(stream_id)
         if stream_id in self._connections:
             raise StreamRejectedError(f"stream {stream_id!r} is already open here")
-        if self.retry is None:
-            connection = self._connect(stream_id)
-        else:
-            # Connecting is side-effect free until the open op is acked,
-            # so a refused/injected connect is safely retried.
-            connection = self.retry.call(
-                lambda: self._connect(stream_id),
-                retry_on=(GatewayUnavailableError,),
-                description=f"connect ingest for stream {stream_id!r}",
-            )
+        # Connecting is side-effect free until the open op is acked, so a
+        # refused/injected connect is safely retried.
+        connection = self._retried(
+            lambda: self._connect(stream_id),
+            f"connect ingest for stream {stream_id!r}",
+        )
         message: Dict[str, Any] = {"op": "open", "stream": stream_id}
         if anomaly_start_hour is not None:
             message["anomaly_start_hour"] = float(anomaly_start_hour)
@@ -289,18 +211,6 @@ class StreamClient:
             return bool(self._request("GET", "/ready", op="ready").get("ready"))
         except StreamRejectedError:
             return False
-
-    def metrics_text(self) -> str:
-        """The raw Prometheus ``/metrics`` document."""
-        url = f"{self.base_url}/metrics"
-        try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except (urllib.error.URLError, socket.timeout, OSError) as error:
-            reason = getattr(error, "reason", error)
-            raise GatewayError(
-                f"cannot reach gateway at {self.base_url}: {reason}"
-            ) from None
 
     def streams(self) -> List[str]:
         """Ids of every open stream."""

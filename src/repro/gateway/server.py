@@ -6,10 +6,12 @@ Three cooperating pieces around one :class:`~repro.gateway.pool.MonitorPool`:
   connection per stream, ``open`` / ``sample`` / ``sync`` / ``close`` ops;
   a connection that vanishes mid-stream drops its stream and frees the
   pool slot;
-* an **HTTP operations surface** in the :mod:`repro.service.rest` style —
-  health/readiness probes, Prometheus ``/metrics``, per-stream queries
-  (status, alarms, report) and an SSE alarm-event feed, plus an HTTP
-  sample path for clients that prefer POSTs over sockets;
+* an **HTTP operations surface** on the shared JSON transport
+  (:mod:`repro.common.jsonhttp`, whose error-mapping table gives every
+  refusal's status) — health/readiness probes, Prometheus ``/metrics``,
+  per-stream queries (status, alarms, report) and an SSE alarm-event
+  feed, plus an HTTP sample path for clients that prefer POSTs over
+  sockets;
 * a **flusher thread** driving cross-stream batched scoring every
   ``flush_interval_seconds`` and reaping idle streams.
 
@@ -55,7 +57,6 @@ import re
 import socketserver
 import threading
 import time
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro._version import __version__
@@ -67,7 +68,7 @@ from repro.common.exceptions import (
     StreamRejectedError,
     UnknownStreamError,
 )
-from repro.common.jsonhttp import JsonHandler
+from repro.common.jsonhttp import HttpError, JsonHandler, JsonServer
 from repro.gateway.pool import MonitorPool
 from repro.obs.logs import get_logger
 
@@ -93,16 +94,11 @@ class _OpsHandler(JsonHandler):
     # A batched sample POST.
     max_body_bytes = 8 * 1024 * 1024
 
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        try:
-            self._get()
-        except UnknownStreamError as error:
-            self._error(404, str(error))
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-reply (SSE consumers routinely do)
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
+    error_status = (
+        (StreamRejectedError, 409),
+        (UnknownStreamError, 404),
+        ((GatewayError, ConfigurationError), 400),
+    )
 
     def _get(self) -> None:
         pool = self.gateway.pool
@@ -184,23 +180,6 @@ class _OpsHandler(JsonHandler):
             time.sleep(interval)
 
     # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            payload = self._body()
-        except ValueError as error:
-            self._error(400, f"malformed request body: {error}")
-            return
-        try:
-            self._post(payload)
-        except StreamRejectedError as error:
-            self._error(409, str(error))
-        except UnknownStreamError as error:
-            self._error(404, str(error))
-        except (GatewayError, ConfigurationError) as error:
-            self._error(400, str(error))
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
-
     def _post(self, payload: Dict[str, Any]) -> None:
         pool = self.gateway.pool
         if self.path == "/streams":
@@ -218,16 +197,14 @@ class _OpsHandler(JsonHandler):
             if resource == "samples":
                 samples = payload.get("samples")
                 if not isinstance(samples, list):
-                    self._error(400, "body needs a 'samples' list")
-                    return
+                    raise HttpError(400, "body needs a 'samples' list")
                 # Vet the whole batch before feeding any of it, so a bad
                 # entry yields a 400 naming its index with zero samples
                 # buffered — never a 500 after a partial accept.
                 parsed = []
                 for index, sample in enumerate(samples):
                     if not isinstance(sample, dict):
-                        self._error(400, f"sample {index} must be an object")
-                        return
+                        raise HttpError(400, f"sample {index} must be an object")
                     try:
                         entry = (
                             sample["controller"],
@@ -238,8 +215,7 @@ class _OpsHandler(JsonHandler):
                     except (
                         SampleRejectedError, KeyError, TypeError, ValueError,
                     ) as error:
-                        self._error(400, f"sample {index} rejected: {error}")
-                        return
+                        raise HttpError(400, f"sample {index} rejected: {error}")
                     parsed.append(entry)
                 for controller, process, time_hours in parsed:
                     pool.feed(stream_id, controller, process, time_hours)
@@ -382,8 +358,7 @@ class GatewayServer:
         ingest_handler = type(
             "BoundIngestHandler", (_IngestHandler,), {"gateway": self}
         )
-        self._ops = ThreadingHTTPServer((config.host, config.port), ops_handler)
-        self._ops.daemon_threads = True
+        self._ops = JsonServer(ops_handler, config.host, config.port)
         self._ingest = _IngestServer(
             (config.host, config.ingest_port), ingest_handler
         )
@@ -395,7 +370,7 @@ class GatewayServer:
     @property
     def address(self) -> Tuple[str, int]:
         """The (host, port) the operations surface actually bound."""
-        return self._ops.server_address[0], self._ops.server_address[1]
+        return self._ops.address
 
     @property
     def ingest_address(self) -> Tuple[str, int]:
@@ -405,8 +380,7 @@ class GatewayServer:
     @property
     def url(self) -> str:
         """The operations surface's base URL."""
-        host, port = self.address
-        return f"http://{host}:{port}"
+        return self._ops.url
 
     # ------------------------------------------------------------------
     def _flusher(self) -> None:
@@ -433,8 +407,8 @@ class GatewayServer:
 
     def start(self) -> "GatewayServer":
         """Serve on daemon threads; returns self for chaining."""
+        self._ops.start()
         threads = (
-            threading.Thread(target=self._ops.serve_forever, daemon=True),
             threading.Thread(target=self._ingest.serve_forever, daemon=True),
             threading.Thread(target=self._flusher, daemon=True),
         )
@@ -459,7 +433,6 @@ class GatewayServer:
         self.closing = True
         self._stop_flusher.set()
         self._ops.shutdown()
-        self._ops.server_close()
         self._ingest.shutdown()
         self._ingest.server_close()
         for thread in self._threads:

@@ -14,10 +14,10 @@ over the wire:
 * :mod:`repro.service.worker` — :class:`ChunkWorker`: claim → simulate via
   the normal :class:`CampaignEngine` (batch backend included) → publish
   into the shared NPZ cache → ack, with a lease heartbeat thread.
-* :mod:`repro.service.rest` — :class:`CoordinatorServer`: the stdlib
-  ``http.server`` control surface (submit, poll, claim, ack, tables,
-  health).
-* :mod:`repro.service.client` — :class:`CoordinatorClient`: the urllib
+* :mod:`repro.service.rest` — :class:`CoordinatorServer`: the HTTP
+  control surface (submit, poll, claim, ack, tables, health) on the shared
+  JSON transport, :mod:`repro.common.jsonhttp`.
+* :mod:`repro.service.client` — :class:`CoordinatorClient`: the HTTP
   client mirroring the coordinator protocol, so workers drive local and
   remote coordinators interchangeably (optionally retrying idempotent
   operations under a :class:`~repro.common.retry.RetryPolicy`).

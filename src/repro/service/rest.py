@@ -1,10 +1,11 @@
 """REST control surface over a :class:`CampaignCoordinator`.
 
-A deliberately small, dependency-free HTTP layer on the stdlib's threading
-``http.server`` — every route is a thin JSON translation of one
-coordinator method, so the protocol semantics (leases, idempotent acks,
-reduction) live in exactly one place and the in-process and remote paths
-cannot drift.
+A deliberately small, dependency-free HTTP layer on the shared JSON
+transport (:mod:`repro.common.jsonhttp`) — every route is a thin JSON
+translation of one coordinator method, so the protocol semantics (leases,
+idempotent acks, reduction) live in exactly one place and the in-process
+and remote paths cannot drift.  Refusals answer ``{"error": message}``
+with the status :mod:`repro.common.jsonhttp`'s error-mapping table gives.
 
 Routes::
 
@@ -31,9 +32,7 @@ or a trusted LAN only — bind it accordingly (the default
 from __future__ import annotations
 
 import re
-import threading
-from http.server import ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 from repro.api.spec import CampaignSpec
 from repro.common.codec import coerce_int
@@ -42,7 +41,7 @@ from repro.common.exceptions import (
     ConfigurationError,
     ServiceError,
 )
-from repro.common.jsonhttp import JsonHandler
+from repro.common.jsonhttp import HttpError, JsonHandler, JsonServer
 from repro.service.coordinator import CampaignCoordinator
 
 __all__ = ["CoordinatorServer"]
@@ -63,14 +62,11 @@ class _Handler(JsonHandler):
     # Set by CoordinatorServer when the handler class is bound.
     coordinator: CampaignCoordinator
 
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        try:
-            self._get()
-        except ServiceError as error:
-            self._error(404, str(error))
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
+    error_status = (
+        (CampaignIncompleteError, 409),
+        (ConfigurationError, 400),
+        (ServiceError, 404),
+    )
 
     def _get(self) -> None:
         coordinator = self.coordinator
@@ -103,35 +99,15 @@ class _Handler(JsonHandler):
             elif resource == "trace":
                 self._reply(200, {"spans": coordinator.trace(campaign_id)})
             else:  # tables
-                try:
-                    self._reply(200, {"tables": coordinator.tables(campaign_id)})
-                except CampaignIncompleteError as error:
-                    self._error(409, str(error))
+                self._reply(200, {"tables": coordinator.tables(campaign_id)})
             return
         self._error(404, f"no such resource: {self.path}")
-
-    # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            payload = self._body()
-        except ValueError as error:
-            self._error(400, f"malformed request body: {error}")
-            return
-        try:
-            self._post(payload)
-        except ConfigurationError as error:
-            self._error(400, str(error))
-        except ServiceError as error:
-            self._error(404, str(error))
-        except Exception as error:  # pragma: no cover - defensive
-            self._error(500, f"{type(error).__name__}: {error}")
 
     def _post(self, payload: Dict[str, Any]) -> None:
         coordinator = self.coordinator
         if self.path == "/campaigns":
             if "spec" not in payload:
-                self._error(400, "submission body needs a 'spec' mapping")
-                return
+                raise HttpError(400, "submission body needs a 'spec' mapping")
             spec = CampaignSpec.from_mapping(payload["spec"])
             campaign_id = coordinator.submit(spec)
             progress = coordinator.progress(campaign_id)
@@ -183,14 +159,8 @@ class _Handler(JsonHandler):
         self._error(404, f"no such resource: {self.path}")
 
 
-class CoordinatorServer:
-    """A threaded HTTP server bound to one coordinator.
-
-    Usable blocking (:meth:`serve_forever`, the ``--serve`` CLI mode) or in
-    the background (:meth:`start` / :meth:`shutdown`, tests and the smoke
-    harness).  Binding ``port=0`` lets the OS pick a free port —
-    :attr:`url` reports the actual one.
-    """
+class CoordinatorServer(JsonServer):
+    """A :class:`~repro.common.jsonhttp.JsonServer` bound to one coordinator."""
 
     def __init__(
         self,
@@ -200,43 +170,4 @@ class CoordinatorServer:
     ):
         self.coordinator = coordinator
         handler = type("BoundHandler", (_Handler,), {"coordinator": coordinator})
-        self._server = ThreadingHTTPServer((host, port), handler)
-        self._server.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The (host, port) actually bound."""
-        return self._server.server_address[0], self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """The coordinator's base URL."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CoordinatorServer":
-        """Serve on a daemon thread; returns self for chaining."""
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        self._server.serve_forever()
-
-    def shutdown(self) -> None:
-        """Stop serving and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CoordinatorServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+        super().__init__(handler, host, port)
